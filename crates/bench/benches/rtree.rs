@@ -1,5 +1,5 @@
-//! R-tree micro-benchmarks: incremental insert vs. STR bulk load, range
-//! queries vs. brute-force scan — the local-index layer of the GR-index.
+//! R-tree micro-benchmarks: STR bulk load, range queries vs. brute-force
+//! scan — the local-index layer of the GR-index.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use icpe_index::RTree;
@@ -25,15 +25,6 @@ fn bench_build(c: &mut Criterion) {
     group.sample_size(20);
     for n in [1_000usize, 10_000] {
         let items = points(n, 7);
-        group.bench_with_input(BenchmarkId::new("incremental", n), &items, |b, items| {
-            b.iter(|| {
-                let mut t = RTree::with_max_entries(16);
-                for (p, v) in items {
-                    t.insert(*p, *v);
-                }
-                black_box(t.len())
-            })
-        });
         group.bench_with_input(BenchmarkId::new("str_bulk", n), &items, |b, items| {
             b.iter(|| {
                 let mut cloned = items.clone();

@@ -5,11 +5,11 @@ use icpe_types::{ObjectId, Point, Timestamp};
 
 /// A replicated location routed to one grid cell (Definition 12).
 ///
-/// * If `is_query` is `false`, this is a **data object**: its location is
-///   inserted into the cell's R-tree.
+/// * If `is_query` is `false`, this is a **data object**: it joins the
+///   cell's data set, which GridQuery pairs within ε.
 /// * If `is_query` is `true`, this is a **query object**: the cell might
-///   contain range-query results for it, so it probes the R-tree but is not
-///   inserted.
+///   contain range-query results for it, so it probes the cell's data but
+///   is not added to it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridObject {
     /// The cell this replica is routed to (the partition key).

@@ -6,8 +6,8 @@
 //! * [`gridobject`] — Definition 12's `GridObject` replication records;
 //! * [`allocate`] — **GridAllocate** (Algorithm 1): key computation and the
 //!   Lemma-1 upper-half replication;
-//! * [`query`] — **GridQuery** (Algorithm 2): per-cell R-tree build with the
-//!   Lemma-2 query-during-build trick;
+//! * [`query`] — **GridQuery** (Algorithm 2): a per-cell sort-sweep that
+//!   reports each same-cell pair once (Lemma 2) without building an index;
 //! * [`sync`] — **GridSync**: pair collection and deduplication;
 //! * [`dbscan`] — DBSCAN over the neighbor-pair stream (union-find closure
 //!   of the core-point graph, O(pairs));

@@ -1,47 +1,59 @@
 //! **GridQuery** — Algorithm 2 of the paper.
 //!
-//! One engine instance owns one grid cell's R-tree for one snapshot. Data
-//! objects are processed *query-then-insert* (Lemma 2): each data object
-//! probes the R-tree built so far — which contains exactly the data objects
-//! that arrived before it — and is then inserted. Every same-cell pair is
-//! thus reported exactly once, by whichever partner arrives later. Query
-//! objects only probe and are never inserted.
+//! One engine instance owns one grid cell's data objects for one snapshot,
+//! kept as a flat vector sorted by x. A probe binary-searches to `x − ε′`
+//! and scans forward to `x + ε′`, where `ε′ = ε + Rect::range_pad` keeps the
+//! x window a superset of every metric ball (rounding ties included); the
+//! metric itself decides each candidate.
+//!
+//! Data objects are processed *query-then-insert* (Lemma 2): each data object
+//! probes the data objects that arrived before it and is then inserted, so
+//! every same-cell pair is reported exactly once, by whichever partner
+//! arrives later. [`CellQueryEngine::run_cell`], the bulk path, gets the
+//! same guarantee with no incremental index at all: it sorts the cell's data
+//! once and sweeps forward only, so each pair is found from its left
+//! partner. Query objects only probe and are never inserted.
 
 use crate::gridobject::GridObject;
-use icpe_index::RTree;
-use icpe_types::{DistanceMetric, ObjectId, Point};
+use icpe_types::{DistanceMetric, ObjectId, Point, Rect};
 
 /// A neighbor pair `(u, v)` with `d(u, v) ≤ ε`, canonicalized to `u < v`.
 pub type NeighborPair = (ObjectId, ObjectId);
 
-/// The per-cell range-query engine (one per `(snapshot, grid cell)`).
+/// The per-cell range-query engine: a sort-sweep over one
+/// `(snapshot, grid cell)`'s objects. One engine can serve many cells and
+/// keeps its allocation: [`CellQueryEngine::run_cell`] starts afresh, and
+/// [`CellQueryEngine::clear`] resets the incremental path.
 #[derive(Debug)]
 pub struct CellQueryEngine {
-    tree: RTree<ObjectId>,
+    /// The data objects inserted so far, sorted by x.
+    data: Vec<(Point, ObjectId)>,
     eps: f64,
     metric: DistanceMetric,
-    /// Per-probe hit scratch, reused across probes (owned ids, not tree
-    /// borrows, so the buffer can live here) — the probe path allocates
-    /// nothing after the first query.
-    hits: Vec<ObjectId>,
 }
 
 impl CellQueryEngine {
     /// Creates an engine for one cell.
     pub fn new(eps: f64, metric: DistanceMetric) -> Self {
         CellQueryEngine {
-            tree: RTree::new(),
+            data: Vec::new(),
             eps,
             metric,
-            hits: Vec::new(),
         }
     }
 
-    /// Processes a data object: probe the tree built so far, then insert
-    /// (Lemma 2, Algorithm 2 lines 2–4). Emits discovered pairs.
+    /// Forgets every data object, keeping the allocation for the next cell.
+    pub fn clear(&mut self) {
+        self.data.clear();
+    }
+
+    /// Processes a data object: probe the data inserted so far, then insert
+    /// it in x order (Lemma 2, Algorithm 2 lines 2–4). Emits discovered
+    /// pairs.
     pub fn push_data(&mut self, id: ObjectId, location: Point, out: &mut Vec<NeighborPair>) {
         self.probe(id, location, out);
-        self.tree.insert(location, id);
+        let at = self.data.partition_point(|(p, _)| p.x <= location.x);
+        self.data.insert(at, (location, id));
     }
 
     /// Processes a query object: probe only (Algorithm 2 lines 5–6).
@@ -49,38 +61,64 @@ impl CellQueryEngine {
         self.probe(id, location, out);
     }
 
-    /// Processes a full cell worth of grid objects. Data objects must come
-    /// first for Lemma 2 to be sound; this method enforces the ordering
-    /// internally, so callers may pass them interleaved.
+    /// Joins one whole cell of grid objects, in any order, replacing
+    /// whatever the engine held. The data objects are sorted once and
+    /// swept forward, so each data pair is found once, from its left
+    /// partner; query objects then probe. Afterwards the engine holds the
+    /// cell's data objects.
     pub fn run_cell(&mut self, objects: &[GridObject], out: &mut Vec<NeighborPair>) {
-        for o in objects.iter().filter(|o| !o.is_query) {
-            self.push_data(o.id, o.location, out);
+        self.data.clear();
+        self.data.extend(
+            objects
+                .iter()
+                .filter(|o| !o.is_query)
+                .map(|o| (o.location, o.id)),
+        );
+        self.data.sort_unstable_by(|a, b| a.0.x.total_cmp(&b.0.x));
+        for (i, &(p, id)) in self.data.iter().enumerate() {
+            let hi = p.x + self.reach(p);
+            for &(q, other) in &self.data[i + 1..] {
+                if q.x > hi {
+                    break;
+                }
+                if other != id && self.metric.within(&p, &q, self.eps) {
+                    out.push(canonical(id, other));
+                }
+            }
         }
         for o in objects.iter().filter(|o| o.is_query) {
-            self.push_query(o.id, o.location, out);
+            self.probe(o.id, o.location, out);
         }
     }
 
     /// Number of data objects inserted so far.
     pub fn len(&self) -> usize {
-        self.tree.len()
+        self.data.len()
     }
 
     /// True if no data objects were inserted.
     pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
+        self.data.is_empty()
     }
 
-    fn probe(&mut self, id: ObjectId, location: Point, out: &mut Vec<NeighborPair>) {
-        self.hits.clear();
-        self.tree
-            .query_payloads_within(&location, self.eps, self.metric, &mut self.hits);
-        out.extend(
-            self.hits
-                .iter()
-                .filter(|&&other| other != id)
-                .map(|&other| canonical(id, other)),
-        );
+    /// Half-width `ε′` of the x window a probe at `p` scans.
+    #[inline]
+    fn reach(&self, p: Point) -> f64 {
+        self.eps + Rect::range_pad(p, self.eps)
+    }
+
+    fn probe(&self, id: ObjectId, location: Point, out: &mut Vec<NeighborPair>) {
+        let reach = self.reach(location);
+        let (lo, hi) = (location.x - reach, location.x + reach);
+        let start = self.data.partition_point(|(p, _)| p.x < lo);
+        for &(p, other) in &self.data[start..] {
+            if p.x > hi {
+                break;
+            }
+            if other != id && self.metric.within(&location, &p, self.eps) {
+                out.push(canonical(id, other));
+            }
+        }
     }
 }
 
@@ -175,6 +213,60 @@ mod tests {
         engine.push_data(oid(1), Point::new(2.0, 2.0), &mut out);
         engine.push_data(oid(2), Point::new(2.0, 2.0), &mut out);
         assert_eq!(out, vec![(oid(1), oid(2))]);
+    }
+
+    #[test]
+    fn run_cell_replaces_earlier_data() {
+        let k = GridKey::new(0, 0);
+        let t = Timestamp(0);
+        let mut engine = CellQueryEngine::new(1.0, DistanceMetric::Chebyshev);
+        let mut out = Vec::new();
+        engine.push_data(oid(1), Point::new(0.0, 0.0), &mut out);
+        let objs = vec![
+            GridObject::data(k, oid(2), Point::new(0.5, 0.0), t),
+            GridObject::data(k, oid(3), Point::new(1.0, 0.0), t),
+        ];
+        engine.run_cell(&objs, &mut out);
+        assert_eq!(out, vec![(oid(2), oid(3))]);
+        assert_eq!(engine.len(), 2);
+    }
+
+    #[test]
+    fn clear_empties_the_engine_for_reuse() {
+        let mut engine = CellQueryEngine::new(1.0, DistanceMetric::L2);
+        let mut out = Vec::new();
+        engine.push_data(oid(1), Point::new(0.0, 0.0), &mut out);
+        engine.clear();
+        assert!(engine.is_empty());
+        engine.push_data(oid(2), Point::new(0.1, 0.1), &mut out);
+        assert!(out.is_empty(), "a cleared engine must not report old data");
+    }
+
+    #[test]
+    fn sweep_reports_exact_eps_ties_once() {
+        // Collinear points exactly ε apart, listed out of x order: every
+        // neighbour pair is a boundary tie and must be reported once.
+        let k = GridKey::new(0, 0);
+        let t = Timestamp(0);
+        let objs: Vec<GridObject> = [3u32, 0, 2, 1]
+            .iter()
+            .map(|&i| GridObject::data(k, oid(i), Point::new(0.25 * i as f64, 1e6), t))
+            .collect();
+        for metric in [
+            DistanceMetric::L1,
+            DistanceMetric::L2,
+            DistanceMetric::Chebyshev,
+        ] {
+            let mut engine = CellQueryEngine::new(0.25, metric);
+            let mut out = Vec::new();
+            engine.run_cell(&objs, &mut out);
+            out.sort_unstable();
+            assert_eq!(
+                out,
+                vec![(oid(0), oid(1)), (oid(1), oid(2)), (oid(2), oid(3))],
+                "{metric:?}"
+            );
+        }
     }
 
     #[test]

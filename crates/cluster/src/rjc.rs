@@ -10,9 +10,8 @@ use crate::dbscan::{dbscan_from_pairs, DbscanOutcome};
 use crate::query::{CellQueryEngine, NeighborPair};
 use crate::sync::PairCollector;
 use crate::SnapshotClusterer;
-use icpe_index::{Grid, GridKey};
+use icpe_index::Grid;
 use icpe_types::{ClusterSnapshot, DbscanParams, DistanceMetric, ObjectId, Snapshot};
-use std::collections::HashMap;
 
 /// Configuration and engine for RJC clustering.
 #[derive(Debug, Clone)]
@@ -48,23 +47,15 @@ impl RjcClusterer {
 
     /// Range join returning `(pairs, duplicate_discoveries)`.
     pub fn range_join_with_stats(&self, snapshot: &Snapshot) -> (Vec<NeighborPair>, usize) {
-        let objects = grid_allocate(snapshot, &self.grid, self.eps);
-        // Group by cell (the keyed exchange of the streaming deployment).
-        let mut cells: HashMap<GridKey, Vec<&crate::gridobject::GridObject>> = HashMap::new();
-        for o in &objects {
-            cells.entry(o.key).or_default().push(o);
-        }
+        let mut objects = grid_allocate(snapshot, &self.grid, self.eps);
+        // Group by cell (the keyed exchange of the streaming deployment):
+        // after the sort every cell is one contiguous run.
+        objects.sort_unstable_by_key(|o| o.key);
         let mut collector = PairCollector::new();
         let mut scratch: Vec<NeighborPair> = Vec::new();
-        for (_, cell_objects) in cells {
-            let mut engine = CellQueryEngine::new(self.eps, self.metric);
-            scratch.clear();
-            for o in cell_objects.iter().filter(|o| !o.is_query) {
-                engine.push_data(o.id, o.location, &mut scratch);
-            }
-            for o in cell_objects.iter().filter(|o| o.is_query) {
-                engine.push_query(o.id, o.location, &mut scratch);
-            }
+        let mut engine = CellQueryEngine::new(self.eps, self.metric);
+        for cell_objects in objects.chunk_by(|a, b| a.key == b.key) {
+            engine.run_cell(cell_objects, &mut scratch);
             collector.extend(scratch.drain(..));
         }
         let dups = collector.duplicates();

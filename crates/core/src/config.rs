@@ -110,7 +110,10 @@ pub struct IcpeConfig {
     pub enumerator: EnumeratorKind,
     /// Parallelism `N` of the keyed stages (GridQuery, GridSync shards,
     /// enumeration) in the streaming deployment — the paper's machine
-    /// count.
+    /// count. Defaults to the host's cores
+    /// ([`std::thread::available_parallelism`], 1 if unknown): every stage
+    /// runs `N` threads, so a larger `N` on a small host only adds
+    /// contention.
     pub parallelism: usize,
     /// Fanin of the GridSync aggregation tree (clamped ≥ 2): the sharded
     /// sync stage's `N` partial merges reduce through ⌈N/fanin⌉ combiners
@@ -199,7 +202,7 @@ impl Default for IcpeConfigBuilder {
             semantics: Semantics::default(),
             clusterer: ClustererKind::default(),
             enumerator: EnumeratorKind::default(),
-            parallelism: 4,
+            parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
             sync_fanin: DEFAULT_SYNC_FANIN,
             align_shards: None,
             runtime: RuntimeConfig::default(),

@@ -113,7 +113,7 @@ use icpe_cluster::balance::{imbalance, CellLoad, LoadBalancer, LoadTracker};
 use icpe_cluster::query::NeighborPair;
 use icpe_cluster::sync::{PairCollector, SyncStats, SyncStatus};
 use icpe_cluster::{
-    dbscan_from_pairs, refine_expand, CellQueryEngine, GdcClusterer, SnapshotClusterer,
+    dbscan_from_pairs, refine_expand, CellQueryEngine, GdcClusterer, GridObject, SnapshotClusterer,
 };
 use icpe_index::{Grid, GridKey, RTree};
 use icpe_pattern::partition::Partition;
@@ -2530,17 +2530,24 @@ impl Operator<SnapMsg, ClusterMsg> for SnapFinalOp {
 }
 
 /// GridQuery (Algorithm 2) as a keyed operator: one subtask owns many cells;
-/// objects buffer per (time, cell) and the range queries run at the
-/// snapshot-boundary tick. Each flush accounts the subtask's per-cell load
-/// (buffered objects + produced pairs) into the shared [`LoadTracker`] —
-/// the signal the adaptive balancer repartitions on.
+/// objects buffer per time in one flat vector and the range queries run at
+/// the snapshot-boundary tick. Each flush accounts the subtask's per-cell
+/// load (buffered objects + produced pairs) into the shared
+/// [`LoadTracker`] — the signal the adaptive balancer repartitions on.
 struct QueryOp {
     eps: f64,
     metric: DistanceMetric,
     build_then_query: bool,
     subtask: usize,
     tracker: Arc<LoadTracker>,
-    buffers: BTreeMap<u32, HashMap<GridKey, Vec<icpe_cluster::GridObject>>>,
+    /// Each open window's grid objects, all cells in one buffer. The tick
+    /// sorts it by `(cell, is_query, x)`, so every cell is one contiguous
+    /// run with its data objects first and already in sweep order.
+    buffers: BTreeMap<u32, Vec<GridObject>>,
+    /// Flushed window buffers, emptied and kept for the next windows.
+    spare: Vec<Vec<GridObject>>,
+    /// The RJC sort-sweep kernel, reused for every cell.
+    engine: CellQueryEngine,
     /// Per-cell pair scratch, reused across cells and ticks (the emitted
     /// vector must be owned, but the hot per-cell buffer need not churn).
     cell_pairs: Vec<NeighborPair>,
@@ -2570,6 +2577,8 @@ impl QueryOp {
             subtask,
             tracker,
             buffers: BTreeMap::new(),
+            spare: Vec::new(),
+            engine: CellQueryEngine::new(eps, metric),
             cell_pairs: Vec::new(),
             shard_pairs: vec![Vec::new(); shards.max(1)],
             items: Vec::new(),
@@ -2580,21 +2589,27 @@ impl QueryOp {
     fn flush_time(&mut self, t: u32, out: &mut Collector<PairMsg>) {
         let shards = self.shard_pairs.len();
         let mut window_load = 0u64;
-        if let Some(cells) = self.buffers.remove(&t) {
-            for (cell, objects) in cells {
+        if let Some(mut objects) = self.buffers.remove(&t) {
+            objects.sort_unstable_by(|a, b| {
+                (a.key, a.is_query)
+                    .cmp(&(b.key, b.is_query))
+                    .then(a.location.x.total_cmp(&b.location.x))
+            });
+            for cell_objects in objects.chunk_by(|a, b| a.key == b.key) {
+                let cell = cell_objects[0].key;
                 self.cell_pairs.clear();
                 if self.build_then_query {
                     // SRJ: build the complete local index, then query every
                     // object against it.
                     self.items.clear();
                     self.items.extend(
-                        objects
+                        cell_objects
                             .iter()
                             .filter(|o| !o.is_query)
                             .map(|o| (o.location, o.id)),
                     );
                     let tree = RTree::bulk_load_with_max_entries(16, &mut self.items);
-                    for o in &objects {
+                    for o in cell_objects {
                         self.hits.clear();
                         tree.query_payloads_within(
                             &o.location,
@@ -2610,16 +2625,15 @@ impl QueryOp {
                         }
                     }
                 } else {
-                    // RJC: Lemma-2 interleaved query-then-insert.
-                    let mut engine = CellQueryEngine::new(self.eps, self.metric);
-                    engine.run_cell(&objects, &mut self.cell_pairs);
+                    // RJC: Lemma 2 as a forward-only sort-sweep.
+                    self.engine.run_cell(cell_objects, &mut self.cell_pairs);
                 }
-                window_load += objects.len() as u64 + self.cell_pairs.len() as u64;
+                window_load += cell_objects.len() as u64 + self.cell_pairs.len() as u64;
                 self.tracker.record_cell(
                     t,
                     cell,
                     CellLoad {
-                        records: objects.len() as u64,
+                        records: cell_objects.len() as u64,
                         pairs: self.cell_pairs.len() as u64,
                     },
                 );
@@ -2627,6 +2641,8 @@ impl QueryOp {
                     self.shard_pairs[subtask_for(hash_id(pair.0), shards)].push(pair);
                 }
             }
+            objects.clear();
+            self.spare.push(objects);
         }
         self.tracker.record_window(t, self.subtask, window_load);
         for shard in 0..shards {
@@ -2646,11 +2662,10 @@ impl Operator<ClusterMsg, PairMsg> for QueryOp {
     fn process(&mut self, msg: ClusterMsg, out: &mut Collector<PairMsg>) {
         match msg {
             ClusterMsg::Obj(o) => {
+                let spare = &mut self.spare;
                 self.buffers
                     .entry(o.time.0)
-                    .or_default()
-                    .entry(o.key)
-                    .or_default()
+                    .or_insert_with(|| spare.pop().unwrap_or_default())
                     .push(o);
             }
             ClusterMsg::Tick(t) => self.flush_time(t, out),

@@ -2,8 +2,8 @@
 //!
 //! `GrIndex` partitions a snapshot's locations by grid cell and builds one
 //! R-tree per cell. In the streaming pipeline the two layers live in
-//! *different operators* (GridAllocate computes keys, GridQuery owns one
-//! cell's R-tree); this assembled form serves the offline/centralized path,
+//! *different operators* (GridAllocate computes keys, GridQuery joins one
+//! cell's objects); this assembled form serves the offline/centralized path,
 //! the SRJ baseline, and as a reference for tests.
 
 use crate::{Grid, GridKey, RTree};

@@ -6,10 +6,11 @@
 //!
 //! This crate provides both layers from scratch:
 //!
-//! * [`rtree::RTree`] — an arena-based R-tree over points with incremental
-//!   insertion (needed for the Lemma-2 *query-during-build* trick), STR bulk
-//!   loading (used by the SRJ baseline's build-then-query strategy) and
-//!   rectangle / metric range queries;
+//! * [`rtree::RTree`] — an arena-based R-tree over points with STR bulk
+//!   loading (the SRJ baseline's build-then-query strategy), rectangle /
+//!   metric range queries and k-nearest search. RJC's streaming GridQuery
+//!   replaces the per-cell tree with a sort-sweep (`icpe-cluster`'s
+//!   `query` module), which finds the same pairs without building one;
 //! * [`grid::Grid`] — cell-key computation (`⟨⌊x/lg⌋, ⌊y/lg⌋⟩`) plus the
 //!   Lemma-1 *upper-half* replication key sets;
 //! * [`refine::RefinementTree`] — recursive 2×2 sub-cell refinement of hot

@@ -1,16 +1,12 @@
-//! An arena-based R-tree over planar points.
+//! An arena-based R-tree over planar points, built by Sort-Tile-Recursive
+//! bulk loading.
 //!
-//! The paper's local index ([3] in its references) — one per grid cell.
-//! Supports the two access patterns the range join needs:
-//!
-//! 1. **incremental insertion** with immediate querying (Lemma 2 interleaves
-//!    `query(o); insert(o)` over the data-object stream), and
-//! 2. **bulk loading** (Sort-Tile-Recursive), used by the SRJ baseline that
-//!    first builds the tree and only then queries it.
-//!
-//! Splits use the classic quadratic algorithm of Guttman. Nodes live in an
-//! arena (`Vec`) and refer to each other by index, which keeps the structure
-//! compact and avoids `Box`-per-node allocation churn.
+//! The local index of the GR-index ([3] in the paper's references) and of
+//! the SRJ baseline, which first builds a cell's whole tree and only then
+//! queries it. (RJC's per-cell GridQuery needs no tree: it runs a sort-sweep,
+//! see `icpe-cluster`'s `query` module.) Nodes live in an arena (`Vec`) and
+//! refer to each other by index, which keeps the structure compact and
+//! avoids `Box`-per-node allocation churn.
 
 use icpe_types::{DistanceMetric, Point, Rect};
 
@@ -38,13 +34,6 @@ impl<T> Node<T> {
             },
         }
     }
-
-    fn len(&self) -> usize {
-        match &self.kind {
-            NodeKind::Leaf { entries } => entries.len(),
-            NodeKind::Internal { children } => children.len(),
-        }
-    }
 }
 
 /// An R-tree mapping points to payloads of type `T`.
@@ -56,7 +45,6 @@ pub struct RTree<T> {
     nodes: Vec<Node<T>>,
     root: usize,
     max_entries: usize,
-    min_entries: usize,
     len: usize,
 }
 
@@ -73,13 +61,12 @@ impl<T> RTree<T> {
     }
 
     /// An empty tree with a custom node capacity (`max_entries ≥ 4`).
-    pub fn with_max_entries(max_entries: usize) -> Self {
+    fn with_max_entries(max_entries: usize) -> Self {
         let max_entries = max_entries.max(4);
         RTree {
             nodes: vec![Node::new_leaf()],
             root: 0,
             max_entries,
-            min_entries: (max_entries + 1) / 3,
             len: 0,
         }
     }
@@ -97,44 +84,6 @@ impl<T> RTree<T> {
     /// The bounding rectangle of all entries (empty rect if none).
     pub fn mbr(&self) -> Rect {
         self.nodes[self.root].mbr
-    }
-
-    /// Inserts one point with its payload.
-    pub fn insert(&mut self, point: Point, value: T) {
-        let mut path = Vec::new();
-        let leaf = self.choose_leaf(self.root, &point, &mut path);
-
-        match &mut self.nodes[leaf].kind {
-            NodeKind::Leaf { entries } => entries.push((point, value)),
-            NodeKind::Internal { .. } => unreachable!("choose_leaf returned an internal node"),
-        }
-        self.nodes[leaf].mbr.expand_to(&point);
-        self.len += 1;
-
-        // Walk back up: fix MBRs and split overflowing nodes.
-        let mut split_of: Option<usize> = if self.nodes[leaf].len() > self.max_entries {
-            Some(self.split(leaf))
-        } else {
-            None
-        };
-        for depth in (0..path.len() - 1).rev() {
-            let parent = path[depth];
-            self.nodes[parent].mbr.expand_to(&point);
-            if let Some(new_node) = split_of.take() {
-                let mbr = self.nodes[new_node].mbr;
-                match &mut self.nodes[parent].kind {
-                    NodeKind::Internal { children } => children.push(new_node),
-                    NodeKind::Leaf { .. } => unreachable!("leaf on internal path"),
-                }
-                self.nodes[parent].mbr = self.nodes[parent].mbr.union(&mbr);
-                if self.nodes[parent].len() > self.max_entries {
-                    split_of = Some(self.split(parent));
-                }
-            }
-        }
-        if let Some(sibling) = split_of {
-            self.grow_root(sibling);
-        }
     }
 
     /// All entries whose point lies inside `rect` (boundary inclusive).
@@ -369,8 +318,16 @@ impl<T> RTree<T> {
         // --- pack internal levels bottom-up ---
         let mut level = leaves;
         while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(cap));
-            for group in level.chunks(cap) {
+            // Groups of `cap`; a lone trailing child takes one sibling from
+            // the group before it, so no non-root node has a single child.
+            let mut starts: Vec<usize> = (0..level.len()).step_by(cap).collect();
+            if level.len() > cap && level.len() % cap == 1 {
+                *starts.last_mut().expect("level is non-empty") -= 1;
+            }
+            starts.push(level.len());
+            let mut next = Vec::with_capacity(starts.len() - 1);
+            for bounds in starts.windows(2) {
+                let group = &level[bounds[0]..bounds[1]];
                 let mut mbr = Rect::empty();
                 for &c in group {
                     mbr = mbr.union(&tree.nodes[c].mbr);
@@ -387,116 +344,6 @@ impl<T> RTree<T> {
         }
         tree.root = level[0];
         tree
-    }
-
-    // ---- internals -------------------------------------------------------
-
-    /// Descends to the leaf best suited for `point`, recording the path
-    /// (root..=leaf) into `path`. Returns the leaf index.
-    fn choose_leaf(&self, from: usize, point: &Point, path: &mut Vec<usize>) -> usize {
-        path.clear();
-        let mut node = from;
-        loop {
-            path.push(node);
-            match &self.nodes[node].kind {
-                NodeKind::Leaf { .. } => return node,
-                NodeKind::Internal { children } => {
-                    let target = Rect::from_point(*point);
-                    // Least enlargement, ties by smaller area.
-                    let mut best = children[0];
-                    let mut best_enl = f64::INFINITY;
-                    let mut best_area = f64::INFINITY;
-                    for &c in children {
-                        let enl = self.nodes[c].mbr.enlargement(&target);
-                        let area = self.nodes[c].mbr.area();
-                        if enl < best_enl || (enl == best_enl && area < best_area) {
-                            best = c;
-                            best_enl = enl;
-                            best_area = area;
-                        }
-                    }
-                    node = best;
-                }
-            }
-        }
-    }
-
-    /// Splits the overflowing node, leaving half in place and returning the
-    /// index of the freshly allocated sibling.
-    fn split(&mut self, node: usize) -> usize {
-        let min = self.min_entries;
-        match std::mem::replace(
-            &mut self.nodes[node].kind,
-            NodeKind::Leaf {
-                entries: Vec::new(),
-            },
-        ) {
-            NodeKind::Leaf { entries } => {
-                let rects: Vec<Rect> = entries.iter().map(|(p, _)| Rect::from_point(*p)).collect();
-                let (a_idx, b_idx) = quadratic_partition(&rects, min);
-                let mut a = Vec::with_capacity(a_idx.len());
-                let mut b = Vec::with_capacity(b_idx.len());
-                let mut which = vec![false; entries.len()];
-                for &i in &b_idx {
-                    which[i] = true;
-                }
-                for (i, e) in entries.into_iter().enumerate() {
-                    if which[i] {
-                        b.push(e);
-                    } else {
-                        a.push(e);
-                    }
-                }
-                let mbr_of = |es: &[(Point, T)]| {
-                    let mut r = Rect::empty();
-                    for (p, _) in es {
-                        r.expand_to(p);
-                    }
-                    r
-                };
-                self.nodes[node].mbr = mbr_of(&a);
-                self.nodes[node].kind = NodeKind::Leaf { entries: a };
-                let sibling = Node {
-                    mbr: mbr_of(&b),
-                    kind: NodeKind::Leaf { entries: b },
-                };
-                self.nodes.push(sibling);
-                self.nodes.len() - 1
-            }
-            NodeKind::Internal { children } => {
-                let rects: Vec<Rect> = children.iter().map(|&c| self.nodes[c].mbr).collect();
-                let (a_idx, b_idx) = quadratic_partition(&rects, min);
-                let a: Vec<usize> = a_idx.iter().map(|&i| children[i]).collect();
-                let b: Vec<usize> = b_idx.iter().map(|&i| children[i]).collect();
-                let mbr_of = |cs: &[usize], nodes: &[Node<T>]| {
-                    let mut r = Rect::empty();
-                    for &c in cs {
-                        r = r.union(&nodes[c].mbr);
-                    }
-                    r
-                };
-                self.nodes[node].mbr = mbr_of(&a, &self.nodes);
-                let b_mbr = mbr_of(&b, &self.nodes);
-                self.nodes[node].kind = NodeKind::Internal { children: a };
-                self.nodes.push(Node {
-                    mbr: b_mbr,
-                    kind: NodeKind::Internal { children: b },
-                });
-                self.nodes.len() - 1
-            }
-        }
-    }
-
-    fn grow_root(&mut self, sibling: usize) {
-        let old_root = self.root;
-        let mbr = self.nodes[old_root].mbr.union(&self.nodes[sibling].mbr);
-        self.nodes.push(Node {
-            mbr,
-            kind: NodeKind::Internal {
-                children: vec![old_root, sibling],
-            },
-        });
-        self.root = self.nodes.len() - 1;
     }
 
     fn query_node<'a>(&'a self, node: usize, rect: &Rect, out: &mut Vec<(&'a Point, &'a T)>) {
@@ -588,74 +435,6 @@ fn mbr_min_dist(mbr: &Rect, center: &Point, metric: DistanceMetric) -> f64 {
     }
 }
 
-/// Guttman's quadratic split: picks the two seeds wasting the most area, then
-/// assigns each remaining rect to the group needing the least enlargement,
-/// honoring the minimum fill `min`.
-fn quadratic_partition(rects: &[Rect], min: usize) -> (Vec<usize>, Vec<usize>) {
-    debug_assert!(rects.len() >= 2);
-    // Pick seeds.
-    let (mut seed_a, mut seed_b, mut worst) = (0usize, 1usize, f64::NEG_INFINITY);
-    for i in 0..rects.len() {
-        for j in (i + 1)..rects.len() {
-            let dead = rects[i].union(&rects[j]).area() - rects[i].area() - rects[j].area();
-            if dead > worst {
-                worst = dead;
-                seed_a = i;
-                seed_b = j;
-            }
-        }
-    }
-    let mut group_a = vec![seed_a];
-    let mut group_b = vec![seed_b];
-    let mut mbr_a = rects[seed_a];
-    let mut mbr_b = rects[seed_b];
-    let mut remaining: Vec<usize> = (0..rects.len())
-        .filter(|&i| i != seed_a && i != seed_b)
-        .collect();
-
-    while let Some(pos) = pick_next(&remaining, &mbr_a, &mbr_b, rects) {
-        let i = remaining.swap_remove(pos);
-        // Force assignment if one group must absorb all remaining to reach min.
-        let need_a = min.saturating_sub(group_a.len());
-        let need_b = min.saturating_sub(group_b.len());
-        let left = remaining.len() + 1;
-        let to_a = if need_a >= left {
-            true
-        } else if need_b >= left {
-            false
-        } else {
-            let enl_a = mbr_a.enlargement(&rects[i]);
-            let enl_b = mbr_b.enlargement(&rects[i]);
-            enl_a < enl_b
-                || (enl_a == enl_b
-                    && (mbr_a.area() < mbr_b.area()
-                        || (mbr_a.area() == mbr_b.area() && group_a.len() <= group_b.len())))
-        };
-        if to_a {
-            group_a.push(i);
-            mbr_a = mbr_a.union(&rects[i]);
-        } else {
-            group_b.push(i);
-            mbr_b = mbr_b.union(&rects[i]);
-        }
-    }
-    (group_a, group_b)
-}
-
-/// Picks the remaining rect with the greatest preference difference between
-/// the two groups ("pick next" of the quadratic algorithm).
-fn pick_next(remaining: &[usize], mbr_a: &Rect, mbr_b: &Rect, rects: &[Rect]) -> Option<usize> {
-    remaining
-        .iter()
-        .enumerate()
-        .max_by(|(_, &i), (_, &j)| {
-            let di = (mbr_a.enlargement(&rects[i]) - mbr_b.enlargement(&rects[i])).abs();
-            let dj = (mbr_a.enlargement(&rects[j]) - mbr_b.enlargement(&rects[j])).abs();
-            di.total_cmp(&dj)
-        })
-        .map(|(pos, _)| pos)
-}
-
 /// Retains, among the elements appended after `from`, only those matching the
 /// predicate. Small helper to keep `query_within` allocation-free.
 trait TruncateFiltered<T> {
@@ -713,32 +492,12 @@ mod tests {
 
     #[test]
     fn single_point_round_trip() {
-        let mut t = RTree::new();
-        t.insert(Point::new(5.0, 5.0), 42usize);
+        let t = RTree::bulk_load(vec![(Point::new(5.0, 5.0), 42usize)]);
         assert_eq!(t.len(), 1);
         let hits = t.query_rect_vec(&Rect::new(4.0, 4.0, 6.0, 6.0));
         assert_eq!(hits.len(), 1);
         assert_eq!(*hits[0].1, 42);
         assert!(t.query_rect_vec(&Rect::new(6.0, 6.0, 7.0, 7.0)).is_empty());
-    }
-
-    #[test]
-    fn incremental_insert_matches_brute_force() {
-        let items = pts(500, 7);
-        let mut t = RTree::with_max_entries(8);
-        for (p, i) in &items {
-            t.insert(*p, *i);
-        }
-        t.check_invariants();
-        assert_eq!(t.len(), 500);
-        assert!(t.height() > 1);
-
-        for (qi, (q, _)) in items.iter().step_by(37).enumerate() {
-            let r = Rect::range_region(*q, 3.0 + qi as f64);
-            let mut got: Vec<usize> = t.query_rect_vec(&r).iter().map(|(_, v)| **v).collect();
-            got.sort_unstable();
-            assert_eq!(got, brute_rect(&items, &r));
-        }
     }
 
     #[test]
@@ -772,10 +531,8 @@ mod tests {
 
     #[test]
     fn duplicate_points_are_all_reported() {
-        let mut t = RTree::with_max_entries(4);
-        for i in 0..20 {
-            t.insert(Point::new(1.0, 1.0), i);
-        }
+        let mut items: Vec<(Point, usize)> = (0..20).map(|i| (Point::new(1.0, 1.0), i)).collect();
+        let t = RTree::bulk_load_with_max_entries(4, &mut items);
         t.check_invariants();
         let hits = t.query_rect_vec(&Rect::new(1.0, 1.0, 1.0, 1.0));
         assert_eq!(hits.len(), 20);
@@ -783,10 +540,11 @@ mod tests {
 
     #[test]
     fn query_within_refines_by_metric() {
-        let mut t = RTree::new();
-        t.insert(Point::new(1.0, 1.0), 0usize); // chebyshev 1, l1 2, l2 √2
-        t.insert(Point::new(1.0, 0.0), 1usize); // all metrics: 1
-        t.insert(Point::new(3.0, 3.0), 2usize); // outside
+        let t = RTree::bulk_load(vec![
+            (Point::new(1.0, 1.0), 0usize), // chebyshev 1, l1 2, l2 √2
+            (Point::new(1.0, 0.0), 1usize), // all metrics: 1
+            (Point::new(3.0, 3.0), 2usize), // outside
+        ]);
         let c = Point::new(0.0, 0.0);
 
         let mut out = Vec::new();
@@ -809,11 +567,8 @@ mod tests {
 
     #[test]
     fn iter_sees_every_entry() {
-        let items = pts(128, 3);
-        let mut t = RTree::with_max_entries(6);
-        for (p, i) in &items {
-            t.insert(*p, *i);
-        }
+        let mut items = pts(128, 3);
+        let t = RTree::bulk_load_with_max_entries(6, &mut items);
         let mut seen: Vec<usize> = t.iter().map(|(_, v)| *v).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..128).collect::<Vec<_>>());
@@ -822,10 +577,9 @@ mod tests {
     #[test]
     fn collinear_points_split_correctly() {
         // Degenerate geometry: all points on a line → zero-area unions.
-        let mut t = RTree::with_max_entries(4);
-        for i in 0..64 {
-            t.insert(Point::new(i as f64, 0.0), i);
-        }
+        let mut items: Vec<(Point, usize)> =
+            (0..64).map(|i| (Point::new(i as f64, 0.0), i)).collect();
+        let t = RTree::bulk_load_with_max_entries(4, &mut items);
         t.check_invariants();
         let hits = t.query_rect_vec(&Rect::new(10.0, 0.0, 20.0, 0.0));
         assert_eq!(hits.len(), 11);
@@ -834,10 +588,7 @@ mod tests {
     #[test]
     fn nearest_k_matches_brute_force() {
         let items = pts(400, 21);
-        let mut tree = RTree::with_max_entries(8);
-        for (p, i) in &items {
-            tree.insert(*p, *i);
-        }
+        let tree = RTree::bulk_load_with_max_entries(8, &mut items.clone());
         for metric in [
             DistanceMetric::L1,
             DistanceMetric::L2,
@@ -870,8 +621,7 @@ mod tests {
             .nearest_k(&Point::new(0.0, 0.0), 3, DistanceMetric::L2)
             .is_empty());
 
-        let mut one = RTree::new();
-        one.insert(Point::new(5.0, 5.0), 9u32);
+        let one = RTree::bulk_load(vec![(Point::new(5.0, 5.0), 9u32)]);
         assert!(one
             .nearest_k(&Point::new(0.0, 0.0), 0, DistanceMetric::L2)
             .is_empty());

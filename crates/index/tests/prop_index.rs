@@ -45,12 +45,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn rtree_insert_equals_brute_force(points in arb_points(300), q in arb_point(), eps in 0.1f64..30.0) {
-        let mut tree = RTree::with_max_entries(8);
-        for (i, p) in points.iter().enumerate() {
-            tree.insert(*p, i);
+    fn rtree_bulk_load_rect_query_equals_brute_force(
+        points in arb_points(300),
+        q in arb_point(),
+        eps in 0.1f64..30.0,
+        max_entries in 4usize..20,
+    ) {
+        let mut items: Vec<(Point, usize)> = points.iter().copied().zip(0..).collect();
+        let tree = RTree::bulk_load_with_max_entries(max_entries, &mut items);
+        if !points.is_empty() {
+            tree.check_invariants();
         }
-        tree.check_invariants();
+        prop_assert_eq!(tree.len(), points.len());
         let rect = Rect::range_region(q, eps);
         let mut got: Vec<usize> = tree.query_rect_vec(&rect).iter().map(|(_, v)| **v).collect();
         got.sort_unstable();
@@ -63,27 +69,6 @@ proptest! {
     }
 
     #[test]
-    fn rtree_bulk_load_equals_incremental(points in arb_points(300), q in arb_point(), eps in 0.1f64..30.0) {
-        let mut inc = RTree::with_max_entries(8);
-        for (i, p) in points.iter().enumerate() {
-            inc.insert(*p, i);
-        }
-        let items: Vec<(Point, usize)> = points.iter().copied().zip(0..).collect();
-        let bulk = RTree::bulk_load(items);
-        if !points.is_empty() {
-            bulk.check_invariants();
-        }
-        prop_assert_eq!(inc.len(), bulk.len());
-
-        let rect = Rect::range_region(q, eps);
-        let mut a: Vec<usize> = inc.query_rect_vec(&rect).iter().map(|(_, v)| **v).collect();
-        let mut b: Vec<usize> = bulk.query_rect_vec(&rect).iter().map(|(_, v)| **v).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
     fn rtree_metric_query_equals_brute_force(
         points in arb_points(200),
         q in arb_point(),
@@ -91,10 +76,8 @@ proptest! {
         metric_idx in 0usize..3,
     ) {
         let metric = [DistanceMetric::L1, DistanceMetric::L2, DistanceMetric::Chebyshev][metric_idx];
-        let mut tree = RTree::with_max_entries(6);
-        for (i, p) in points.iter().enumerate() {
-            tree.insert(*p, i);
-        }
+        let mut items: Vec<(Point, usize)> = points.iter().copied().zip(0..).collect();
+        let tree = RTree::bulk_load_with_max_entries(6, &mut items);
         let mut out = Vec::new();
         tree.query_within(&q, eps, metric, &mut out);
         let mut got: Vec<usize> = out.iter().map(|(_, v)| **v).collect();
@@ -240,10 +223,8 @@ proptest! {
         metric_idx in 0usize..3,
     ) {
         let metric = [DistanceMetric::L1, DistanceMetric::L2, DistanceMetric::Chebyshev][metric_idx];
-        let mut tree = RTree::with_max_entries(6);
-        for (i, p) in points.iter().enumerate() {
-            tree.insert(*p, i);
-        }
+        let mut items: Vec<(Point, usize)> = points.iter().copied().zip(0..).collect();
+        let tree = RTree::bulk_load_with_max_entries(6, &mut items);
         let got = tree.nearest_k(&q, k, metric);
         let mut want: Vec<f64> = points.iter().map(|p| p.distance(&q, metric)).collect();
         want.sort_by(f64::total_cmp);

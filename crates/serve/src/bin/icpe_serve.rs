@@ -9,7 +9,7 @@
 //!   ICPE_EPS       DBSCAN ε                  (default 2.5)
 //!   ICPE_MINPTS    DBSCAN minPts             (default 4)
 //!   ICPE_M/K/L/G   CP(M,K,L,G) constraints   (default 4,8,4,2)
-//!   ICPE_N         keyed-stage parallelism   (default 4)
+//!   ICPE_N         keyed-stage parallelism   (default: the host's cores)
 //!   ICPE_SYNC_FANIN  GridSync aggregation-tree fanin (default 4,
 //!                    clamped ≥ 2): the N sync shards' partial merges
 //!                    reduce through ⌈N/fanin⌉ combiners per level down
@@ -98,9 +98,12 @@ fn main() {
         .constraints(constraints)
         .epsilon(env_parse("ICPE_EPS", 2.5))
         .min_pts(env_parse("ICPE_MINPTS", 4))
-        .parallelism(env_parse("ICPE_N", 4))
         .sync_fanin(env_parse("ICPE_SYNC_FANIN", icpe_core::DEFAULT_SYNC_FANIN))
         .batch_size(env_parse("ICPE_BATCH", icpe_runtime::DEFAULT_BATCH_SIZE));
+    // Unset, the library default sizes N to the host's cores.
+    if let Some(n) = std::env::var("ICPE_N").ok().and_then(|v| v.parse().ok()) {
+        engine = engine.parallelism(n);
+    }
     if let Ok(theta) = std::env::var("ICPE_REBALANCE_THETA") {
         let theta: f64 = theta.parse().expect("ICPE_REBALANCE_THETA is a number");
         engine = engine.rebalance(BalancerConfig {

@@ -33,7 +33,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 
@@ -282,6 +282,10 @@ struct Shared {
     /// [`ServeConfig::journal_patterns`]).
     journal_patterns: bool,
     shutting_down: AtomicBool,
+    /// Accepted connections whose first line has not yet said what they
+    /// are. The drain waits for these as well as for producers: a producer
+    /// accepted just before shutdown is not yet counted as one.
+    unclassified: AtomicUsize,
     /// Set by [`Server::suspend`] after its final checkpoint: events
     /// produced by the teardown flush are covered by the checkpoint and
     /// will be re-delivered by the resumed instance — publishing them here
@@ -464,6 +468,7 @@ impl Server {
             socket_timeout: config.socket_timeout,
             journal_patterns: config.journal_patterns,
             shutting_down: AtomicBool::new(false),
+            unclassified: AtomicUsize::new(0),
             suppress_events: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(1),
@@ -720,8 +725,11 @@ impl Server {
         // Grace: a producer that closed its side may still have records in
         // kernel buffers; its handler exits once it drains to EOF. Only
         // producers that stay open past the deadline are cut off.
+        // `unclassified` is read first: a producer counts itself in
+        // `producers` before it leaves `unclassified`.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while self.shared.stats.producers.load(Ordering::Relaxed) > 0
+        while (self.shared.unclassified.load(Ordering::SeqCst) > 0
+            || self.shared.stats.producers.load(Ordering::Relaxed) > 0)
             && std::time::Instant::now() < deadline
         {
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -860,16 +868,44 @@ fn spawn_checkpoint_worker(
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     for stream in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
+        let draining = shared.shutting_down.load(Ordering::SeqCst);
+        if let Ok(stream) = stream {
+            spawn_handler(&shared, stream);
+        }
+        if draining {
+            // Connections still in the backlog were made before the drain
+            // began: serve them too, or their records would be lost.
+            if listener.set_nonblocking(true).is_ok() {
+                while let Ok((stream, _)) = listener.accept() {
+                    if stream.set_nonblocking(false).is_ok() {
+                        spawn_handler(&shared, stream);
+                    }
+                }
+            }
             return;
         }
-        let Ok(stream) = stream else { continue };
-        let conn_shared = Arc::clone(&shared);
-        let _ = std::thread::Builder::new()
-            .name("serve-conn".into())
-            .spawn(move || {
-                let _ = handle_connection(conn_shared, stream);
-            });
+    }
+}
+
+fn spawn_handler(shared: &Arc<Shared>, stream: TcpStream) {
+    shared.unclassified.fetch_add(1, Ordering::SeqCst);
+    let conn_shared = Arc::clone(shared);
+    let spawned = std::thread::Builder::new()
+        .name("serve-conn".into())
+        .spawn(move || {
+            let _ = handle_connection(conn_shared, stream);
+        });
+    if spawned.is_err() {
+        shared.unclassified.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// One count of [`Shared::unclassified`], released on drop.
+struct Unclassified<'a>(&'a Shared);
+
+impl Drop for Unclassified<'_> {
+    fn drop(&mut self) {
+        self.0.unclassified.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -887,23 +923,29 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) -> std::io::Result<
 }
 
 fn dispatch(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) -> std::io::Result<()> {
+    let unclassified = Unclassified(shared);
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut first = String::new();
     if reader.read_line(&mut first)? == 0 {
         return Ok(());
     }
+    // A producer leaves `unclassified` only once it counts in `producers`.
     let trimmed = first.trim();
     if let Some(topic) = trimmed.strip_prefix("SUBSCRIBE") {
+        drop(unclassified);
         shared.mark_subscriber(conn_id);
         serve_subscriber(shared, stream, topic)
     } else if trimmed == "STATUS" {
+        drop(unclassified);
         serve_status(shared, stream)
     } else if trimmed == "METRICS" {
+        drop(unclassified);
         serve_metrics(shared, stream)
     } else if trimmed == "EVENTS" || trimmed.starts_with("EVENTS ") {
+        drop(unclassified);
         serve_events(shared, stream, trimmed.strip_prefix("EVENTS").unwrap_or(""))
     } else {
-        serve_producer(shared, reader, first, conn_id)
+        serve_producer(shared, reader, first, conn_id, unclassified)
     }
 }
 
@@ -913,11 +955,13 @@ fn serve_producer(
     mut reader: BufReader<TcpStream>,
     first_line: String,
     conn_id: u64,
+    unclassified: Unclassified<'_>,
 ) -> std::io::Result<()> {
     let Some(sender) = shared.ingest.lock().clone() else {
         return Ok(()); // draining: refuse new records
     };
     shared.stats.producers.fetch_add(1, Ordering::Relaxed);
+    drop(unclassified);
     shared.skew.register(conn_id);
     let mut quarantined = 0u64;
     let result = producer_loop(
@@ -1144,9 +1188,20 @@ fn serve_subscriber(
     shared.stats.subscribers.fetch_add(1, Ordering::Relaxed);
     let mut writer = BufWriter::new(stream);
     let mut result = Ok(());
-    for line in subscription.lines().iter() {
-        if let Err(e) = writer.write_all(line.as_bytes()).and_then(|()| {
-            writer.write_all(b"\n")?;
+    let lines = subscription.lines();
+    let write_line = |writer: &mut BufWriter<TcpStream>, line: &str| {
+        writer.write_all(line.as_bytes())?;
+        writer.write_all(b"\n")
+    };
+    for line in lines.iter() {
+        // Write everything already queued, then flush once: a burst costs
+        // a write per buffer, not per event, so the writer keeps up with
+        // the publisher; and nothing waits unflushed once the queue is
+        // empty.
+        if let Err(e) = write_line(&mut writer, &line).and_then(|()| {
+            while let Ok(next) = lines.try_recv() {
+                write_line(&mut writer, &next)?;
+            }
             writer.flush()
         }) {
             result = Err(e);
