@@ -115,14 +115,16 @@ pub struct IcpeConfig {
     /// runs `N` threads, so a larger `N` on a small host only adds
     /// contention.
     pub parallelism: usize,
-    /// Fanin of the GridSync aggregation tree (clamped ≥ 2): the sharded
-    /// sync stage's `N` partial merges reduce through ⌈N/fanin⌉ combiners
-    /// per level down to one finalizer. Ignored by GDC.
+    /// Fanin of the aggregation trees (clamped ≥ 2): the sharded sync
+    /// stage's `N` partial merges reduce through ⌈N/fanin⌉ combiners per
+    /// level down to one finalizer, and the aligner shards' partials reduce
+    /// the same way through the snapshot-merge tree. GDC has no sync stage
+    /// and uses it for the snapshot-merge tree only.
     pub sync_fanin: usize,
     /// Parallelism of the sharded aligner head (TimeAligner + fused
     /// GridAllocate), keyed by trajectory id. Defaults to `parallelism`;
     /// `1` degenerates to a single aligner shard behind the frontier
-    /// router. Ignored by GDC, which keeps the serial head.
+    /// router.
     pub align_shards: usize,
     /// Runtime channel capacity (backpressure depth).
     pub runtime: RuntimeConfig,

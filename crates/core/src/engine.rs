@@ -1,13 +1,10 @@
 //! The deterministic, in-process ICPE engine.
 
 use crate::config::{ClustererKind, IcpeConfig};
-use crate::pipeline::{build_engine, engine_kind_name, restore_engine};
+use crate::pipeline::build_engine;
 use icpe_cluster::{GdcClusterer, RjcClusterer, SnapshotClusterer, SrjClusterer};
 use icpe_pattern::PatternEngine;
-use icpe_types::{
-    CheckpointError, ClusterSnapshot, EngineCheckpoint, Pattern, PipelineCheckpoint,
-    ProgressCheckpoint, Snapshot, CHECKPOINT_VERSION,
-};
+use icpe_types::{ClusterSnapshot, Pattern, Snapshot};
 use std::time::Duration;
 
 /// Per-phase timing accumulated by [`IcpeEngine`] — the decomposition behind
@@ -86,24 +83,6 @@ impl IcpeEngine {
         }
     }
 
-    /// Builds the engine with its enumeration state restored from a
-    /// checkpoint (the clustering phase is stateless across snapshots and
-    /// starts fresh). Phase timings are wall-clock and restart at zero.
-    pub fn from_checkpoint(
-        config: IcpeConfig,
-        ckpt: &EngineCheckpoint,
-    ) -> Result<Self, CheckpointError> {
-        let mut engine = IcpeEngine::new(config.clone());
-        engine.enumerator =
-            restore_engine(config.enumerator, config.engine_config(), ckpt, |_| true)?;
-        Ok(engine)
-    }
-
-    /// Captures the enumeration engine's streaming state in durable form.
-    pub fn checkpoint_enumerator(&self) -> Option<EngineCheckpoint> {
-        self.enumerator.checkpoint()
-    }
-
     /// Clusters one snapshot and feeds the result to the enumeration engine;
     /// returns any patterns that became reportable.
     pub fn push_snapshot(&mut self, snapshot: Snapshot) -> Vec<Pattern> {
@@ -153,110 +132,6 @@ impl IcpeEngine {
     /// FBA/VBA). Non-zero means the pattern result is incomplete.
     pub fn overflowed_partitions(&self) -> usize {
         self.enumerator.overflowed_partitions()
-    }
-}
-
-/// Push-based façade over [`IcpeEngine`]: accepts raw, possibly
-/// out-of-order GPS records and runs the §4 time-alignment inline, so a
-/// single-threaded deployment consumes the same wire input as the
-/// distributed pipeline. Patterns come back from each push as their
-/// snapshots seal.
-pub struct StreamingEngine {
-    aligner: icpe_runtime::TimeAligner,
-    engine: IcpeEngine,
-    records_ingested: u64,
-}
-
-impl StreamingEngine {
-    /// Builds the engine; `config.aligner` controls sealing behavior.
-    pub fn new(config: IcpeConfig) -> Self {
-        StreamingEngine {
-            aligner: icpe_runtime::TimeAligner::new(config.aligner),
-            engine: IcpeEngine::new(config),
-            records_ingested: 0,
-        }
-    }
-
-    /// Captures the engine's full streaming state — the single-threaded
-    /// analogue of [`crate::LivePipeline::checkpoint`], sharing the same
-    /// [`PipelineCheckpoint`] schema. `seq` is caller-assigned.
-    pub fn checkpoint(&self, seq: u64) -> Option<PipelineCheckpoint> {
-        let engine = self.engine.checkpoint_enumerator()?;
-        let aligner = self.aligner.checkpoint();
-        Some(PipelineCheckpoint {
-            version: CHECKPOINT_VERSION,
-            seq,
-            records_ingested: self.records_ingested,
-            progress: ProgressCheckpoint {
-                snapshots_completed: self.engine.timings.snapshots as u64,
-                late_records: aligner.late_dropped,
-                max_sealed: aligner.sealed_up_to.map(|s| s - 1),
-            },
-            aligner,
-            engine,
-            // Single-threaded: no keyed exchange, nothing to route, no
-            // sharded merge path, and no stage registry.
-            routing: None,
-            sync: None,
-            obs: None,
-        })
-    }
-
-    /// Rebuilds a streaming engine from a checkpoint; feeding it the input
-    /// stream from record `checkpoint.records_ingested` onward resumes the
-    /// run as if it never stopped.
-    pub fn from_checkpoint(
-        config: IcpeConfig,
-        ckpt: &PipelineCheckpoint,
-    ) -> Result<Self, CheckpointError> {
-        ckpt.check_version()?;
-        let expected = engine_kind_name(config.enumerator);
-        if ckpt.engine.kind != expected {
-            return Err(CheckpointError::EngineMismatch {
-                checkpoint: ckpt.engine.kind.clone(),
-                config: expected.into(),
-            });
-        }
-        let aligner = icpe_runtime::TimeAligner::from_checkpoint(config.aligner, &ckpt.aligner);
-        let mut engine = IcpeEngine::from_checkpoint(config, &ckpt.engine)?;
-        engine.timings.snapshots = ckpt.progress.snapshots_completed as usize;
-        Ok(StreamingEngine {
-            aligner,
-            engine,
-            records_ingested: ckpt.records_ingested,
-        })
-    }
-
-    /// Ingests one record; processes any snapshots that became sealable and
-    /// returns the patterns that became reportable.
-    pub fn push(&mut self, record: icpe_types::GpsRecord) -> Vec<Pattern> {
-        self.records_ingested += 1;
-        let mut patterns = Vec::new();
-        for snapshot in self.aligner.push(record) {
-            patterns.extend(self.engine.push_snapshot(snapshot));
-        }
-        patterns
-    }
-
-    /// Ends the stream: seals everything buffered and flushes the
-    /// enumeration engine.
-    pub fn finish(&mut self) -> Vec<Pattern> {
-        let mut patterns = Vec::new();
-        for snapshot in self.aligner.flush() {
-            patterns.extend(self.engine.push_snapshot(snapshot));
-        }
-        patterns.extend(self.engine.finish());
-        patterns
-    }
-
-    /// Records dropped for arriving after their snapshot sealed.
-    pub fn late_dropped(&self) -> u64 {
-        self.aligner.late_dropped()
-    }
-
-    /// The wrapped synchronous engine (timings, method names).
-    pub fn engine(&self) -> &IcpeEngine {
-        &self.engine
     }
 }
 
@@ -360,92 +235,5 @@ mod tests {
     fn method_names_are_exposed() {
         let engine = IcpeEngine::new(config(EnumeratorKind::Vba));
         assert_eq!(engine.method_names(), ("RJC", "VBA"));
-    }
-
-    #[test]
-    fn streaming_engine_checkpoint_restore_is_equivalent() {
-        for kind in [
-            EnumeratorKind::Fba,
-            EnumeratorKind::Vba,
-            EnumeratorKind::Baseline,
-        ] {
-            // Reference: uninterrupted run.
-            let mut records = Vec::new();
-            for s in walking_snapshots(12) {
-                let last = (s.time.0 > 0).then(|| Timestamp(s.time.0 - 1));
-                for e in &s.entries {
-                    records.push(icpe_types::GpsRecord::new(e.id, e.location, s.time, last));
-                }
-            }
-            let mut full = StreamingEngine::new(config(kind));
-            let mut want = Vec::new();
-            for r in &records {
-                want.extend(full.push(*r));
-            }
-            want.extend(full.finish());
-
-            // Interrupted run: checkpoint mid-stream, restore, continue.
-            let mut first = StreamingEngine::new(config(kind));
-            let mut got = Vec::new();
-            let cut = records.len() / 2;
-            for r in &records[..cut] {
-                got.extend(first.push(*r));
-            }
-            let ckpt = first.checkpoint(1).unwrap();
-            assert_eq!(ckpt.records_ingested as usize, cut);
-            drop(first); // crash
-
-            let mut second = StreamingEngine::from_checkpoint(config(kind), &ckpt).unwrap();
-            for r in &records[cut..] {
-                got.extend(second.push(*r));
-            }
-            got.extend(second.finish());
-            assert_eq!(
-                unique_object_sets(&got),
-                unique_object_sets(&want),
-                "{kind:?} diverged after restore"
-            );
-            assert_eq!(second.engine().timings().snapshots, 12);
-        }
-    }
-
-    #[test]
-    fn streaming_engine_matches_snapshot_engine_under_disorder() {
-        // Same workload via push_snapshot (ordered) and via raw records in
-        // scrambled arrival order: the aligner must make them identical.
-        let mut reference = IcpeEngine::new(config(EnumeratorKind::Fba));
-        let mut want = Vec::new();
-        for s in walking_snapshots(10) {
-            want.extend(reference.push_snapshot(s));
-        }
-        want.extend(reference.finish());
-
-        let mut records = Vec::new();
-        for s in walking_snapshots(10) {
-            let last = if s.time.0 == 0 {
-                None
-            } else {
-                Some(Timestamp(s.time.0 - 1))
-            };
-            for e in &s.entries {
-                records.push(icpe_types::GpsRecord::new(e.id, e.location, s.time, last));
-            }
-        }
-        // Bounded scramble: disjoint swaps displacing records by exactly one
-        // tick (5 records per tick), within the aligner's lateness allowance.
-        let n = records.len();
-        for i in (0..n.saturating_sub(5)).step_by(10) {
-            records.swap(i, i + 5);
-        }
-
-        let mut streaming = StreamingEngine::new(config(EnumeratorKind::Fba));
-        let mut got = Vec::new();
-        for r in records {
-            got.extend(streaming.push(r));
-        }
-        got.extend(streaming.finish());
-        assert_eq!(streaming.late_dropped(), 0);
-        assert_eq!(unique_object_sets(&got), unique_object_sets(&want));
-        assert_eq!(streaming.engine().timings().snapshots, 10);
     }
 }

@@ -33,7 +33,7 @@ pub mod pipeline;
 pub use config::{
     ClustererKind, EnumeratorKind, IcpeConfig, IcpeConfigBuilder, Supervision, DEFAULT_SYNC_FANIN,
 };
-pub use engine::{IcpeEngine, StreamingEngine};
+pub use engine::IcpeEngine;
 pub use icpe_cluster::{BalancerConfig, SyncStatus};
 pub use icpe_runtime::AlignerStatus;
 pub use icpe_runtime::RoutingStatus;

@@ -37,8 +37,9 @@
 //! runs the load balancer and releases the window to the keyed grid
 //! exchange. Per-record chain work, row buffering, and cell assignment all
 //! scale with `S`; only the frontier bookkeeping (a hash+compare per
-//! record) stays serial. The GDC baseline keeps the serial `align` head —
-//! it has no grid stage to fuse into.
+//! record) stays serial. Every clusterer runs this head: the GDC baseline
+//! has no grid stage, so its one clustering subtask rebuilds each window's
+//! snapshot from the finalizer's data objects and clusters it centrally.
 //!
 //! Two entry points are provided:
 //!
@@ -121,14 +122,14 @@ use icpe_pattern::{id_partitions, BaselineEngine, FbaEngine, PatternEngine, VbaE
 use icpe_runtime::{
     ingest_channel, AlignStats, AlignerStatus, Collector, Disconnected, Exchange, MetricRegistry,
     MetricsReport, ObsEventKind, Operator, PipelineMetrics, Routed, Routing, RoutingStatus,
-    RoutingTable, ShardedAligner, StageFailure, Stream, StreamProgress, TimeAligner, TreeSlot,
+    RoutingTable, ShardedAligner, StageFailure, Stream, StreamProgress, TreeSlot,
 };
 use icpe_types::shard::{hash_id, stable_hash, subtask_for};
 use icpe_types::{
     AlignerCheckpoint, CheckpointError, ClusterSnapshot, DbscanParams, DistanceMetric,
     EngineCheckpoint, GpsRecord, ObjectId, ObsCheckpoint, Pattern, PipelineCheckpoint,
-    ProgressCheckpoint, RoutingCheckpoint, Snapshot, SyncCheckpoint, SyncWindowCheckpoint,
-    Timestamp, CHECKPOINT_VERSION,
+    ProgressCheckpoint, RoutingCheckpoint, Snapshot, SnapshotEntry, SyncCheckpoint,
+    SyncWindowCheckpoint, Timestamp, CHECKPOINT_VERSION,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -189,16 +190,13 @@ struct BarrierRequest {
 #[derive(Debug)]
 pub(crate) struct BarrierToken {
     request: Arc<BarrierRequest>,
-    /// The aligner state captured at the ingest point: under the sharded
-    /// head this is the frontier router's piece (chains + counters + clock
-    /// fields, no rows); under the GDC serial head it is the complete
-    /// aligner checkpoint.
+    /// The frontier router's piece of the aligner state, captured at the
+    /// ingest point: chains + counters + clock fields, no rows.
     aligner: AlignerCheckpoint,
     records_ingested: u64,
     /// Filled by the aligner shards as the barrier passes them: one
     /// buffer-only piece per shard (their unsealed rows). The sink merges
     /// these with the router's piece into the canonical aligner section.
-    /// Stays empty under the GDC serial head.
     aligner_shards: Mutex<Vec<AlignerCheckpoint>>,
     /// Filled by the (single) allocate subtask as the barrier passes it:
     /// the adaptive-routing state at the cut. Stays `None` under static
@@ -413,7 +411,7 @@ pub struct LivePipeline {
     metrics: PipelineMetrics,
     routing: Option<RoutingHandle>,
     sync: Option<SyncHandle>,
-    align: Option<AlignHandle>,
+    align: AlignHandle,
     obs: MetricRegistry,
     health: HealthHandle,
 }
@@ -504,17 +502,15 @@ impl LivePipeline {
         self.sync.as_ref().map(SyncHandle::status)
     }
 
-    /// The sharded aligner head's gauge view (`None` under GDC, which
-    /// keeps the serial head). Clone it to keep reading after
-    /// [`LivePipeline::finish`].
-    pub fn align(&self) -> Option<&AlignHandle> {
-        self.align.as_ref()
+    /// The sharded aligner head's gauge view. Clone it to keep reading
+    /// after [`LivePipeline::finish`].
+    pub fn align(&self) -> &AlignHandle {
+        &self.align
     }
 
-    /// Convenience: the current [`AlignerStatus`], when the sharded head
-    /// runs.
-    pub fn align_status(&self) -> Option<AlignerStatus> {
-        self.align.as_ref().map(AlignHandle::status)
+    /// Convenience: the current [`AlignerStatus`].
+    pub fn align_status(&self) -> AlignerStatus {
+        self.align.status()
     }
 
     /// The pipeline's current [`HealthState`]. Always `Healthy` for an
@@ -711,13 +707,13 @@ struct SharedHandles {
     obs: MetricRegistry,
     routing: Option<RoutingHandle>,
     sync: Option<SyncHandle>,
-    align: Option<AlignHandle>,
+    align: AlignHandle,
 }
 
 impl SharedHandles {
-    /// Fresh, empty handles for one deployment. The routing/sync/align
-    /// surfaces exist whenever a keyed grid stage runs; GDC keeps the
-    /// serial head and carries none of them.
+    /// Fresh, empty handles for one deployment. The routing/sync surfaces
+    /// exist whenever a keyed grid stage runs (not under GDC); every
+    /// deployment runs the sharded aligner head.
     fn new(config: &IcpeConfig) -> SharedHandles {
         let grid = config.clusterer != ClustererKind::Gdc;
         SharedHandles {
@@ -730,9 +726,9 @@ impl SharedHandles {
             sync: grid.then(|| SyncHandle {
                 stats: Arc::new(SyncStats::new(config.parallelism, config.sync_fanin)),
             }),
-            align: grid.then(|| AlignHandle {
+            align: AlignHandle {
                 stats: AlignStats::new(config.align_shards),
-            }),
+            },
         }
     }
 
@@ -741,9 +737,10 @@ impl SharedHandles {
     /// cumulative counters the replayed records re-earn land on top of the
     /// cut values, so totals stay conserved across a recovery.
     fn reset_to(&self, resume: &ResumeState) {
+        let late_dropped = resume.aligner_ckpt.as_ref().map_or(0, |c| c.late_dropped);
         self.metrics.restore(&ProgressCheckpoint {
             snapshots_completed: resume.completed,
-            late_records: resume.aligner.late_dropped(),
+            late_records: late_dropped,
             max_sealed: resume.max_sealed,
         });
         // The registry's event journal is deliberately NOT reset: journal
@@ -776,12 +773,10 @@ impl SharedHandles {
                 None => sync.stats.restore(0, 0, 0),
             }
         }
-        if let Some(align) = &self.align {
-            align.stats.restore(
-                resume.aligner.late_dropped(),
-                resume.aligner_ckpt.as_ref().and_then(|c| c.sealed_up_to),
-            );
-        }
+        self.align.stats.restore(
+            late_dropped,
+            resume.aligner_ckpt.as_ref().and_then(|c| c.sealed_up_to),
+        );
     }
 }
 
@@ -1317,16 +1312,6 @@ impl Supervisor {
 
 // ---- restore plumbing ------------------------------------------------------
 
-/// The engine name a configuration's enumerator kind writes into (and
-/// expects back from) a checkpoint.
-pub(crate) fn engine_kind_name(kind: EnumeratorKind) -> &'static str {
-    match kind {
-        EnumeratorKind::Baseline => "BA",
-        EnumeratorKind::Fba => "FBA",
-        EnumeratorKind::Vba => "VBA",
-    }
-}
-
 /// Builds a fresh enumeration engine of the configured kind.
 pub(crate) fn build_engine(
     kind: EnumeratorKind,
@@ -1359,14 +1344,11 @@ pub(crate) fn restore_engine(
 /// spawns, so a bad checkpoint fails the launch instead of panicking a
 /// subtask later.
 struct ResumeState {
-    /// The serial aligner for the GDC head; also the source of the
-    /// restored late-drop gauge either way.
-    aligner: TimeAligner,
     /// The checkpoint's merged aligner section (`None` on a fresh launch):
-    /// the sharded head rebuilds its router (chains + counters) and
-    /// owner-filters the buffered rows onto the restored deployment's
-    /// aligner shards from this — possibly at a different shard count than
-    /// the one that wrote it.
+    /// the head rebuilds its router (chains + counters) and owner-filters
+    /// the buffered rows onto the restored deployment's aligner shards from
+    /// this — possibly at a different shard count than the one that wrote
+    /// it. Also the source of the restored late-drop gauge.
     aligner_ckpt: Option<AlignerCheckpoint>,
     /// One pre-built engine per enumeration subtask.
     engines: Vec<Box<dyn PatternEngine + Send>>,
@@ -1392,7 +1374,6 @@ impl ResumeState {
     fn fresh(config: &IcpeConfig) -> ResumeState {
         let engine_config = config.engine_config();
         ResumeState {
-            aligner: TimeAligner::new(config.aligner),
             aligner_ckpt: None,
             engines: (0..config.parallelism)
                 .map(|_| build_engine(config.enumerator, engine_config))
@@ -1414,13 +1395,6 @@ impl ResumeState {
         ckpt: &PipelineCheckpoint,
     ) -> Result<ResumeState, CheckpointError> {
         ckpt.check_version()?;
-        let expected = engine_kind_name(config.enumerator);
-        if ckpt.engine.kind != expected {
-            return Err(CheckpointError::EngineMismatch {
-                checkpoint: ckpt.engine.kind.clone(),
-                config: expected.into(),
-            });
-        }
         let n = config.parallelism;
         let engine_config = config.engine_config();
         // The skipped-partition counter is cumulative across the whole
@@ -1447,7 +1421,6 @@ impl ResumeState {
             None => LoadBalancer::new(bc, n),
         });
         Ok(ResumeState {
-            aligner: TimeAligner::from_checkpoint(config.aligner, &ckpt.aligner),
             aligner_ckpt: Some(ckpt.aligner.clone()),
             engines,
             balancer,
@@ -1471,7 +1444,7 @@ fn drive(
     resume: ResumeState,
     routing: Option<RoutingHandle>,
     sync: Option<SyncHandle>,
-    align: Option<AlignHandle>,
+    align: AlignHandle,
     obs: MetricRegistry,
     failures: Option<crossbeam::channel::Sender<StageFailure>>,
     ledger: Option<Arc<Mutex<DeliveryLedger>>>,
@@ -1479,7 +1452,6 @@ fn drive(
 ) {
     let n = config.parallelism;
     let ResumeState {
-        aligner,
         aligner_ckpt,
         engines,
         balancer,
@@ -1517,7 +1489,6 @@ fn drive(
         sync,
         sync_resume,
         align,
-        aligner,
         aligner_ckpt,
         records_ingested,
     );
@@ -1614,23 +1585,15 @@ fn drive(
                 // deposits its buffer-only piece before forwarding the
                 // barrier into the snapshot-merge tree. The router's piece
                 // (chains + counters) plus the shard pieces merge into one
-                // canonical, shard-count-independent aligner section; under
-                // the GDC serial head the slot is empty and the token
-                // already carries the complete checkpoint.
-                let shard_pieces = std::mem::take(
-                    &mut *token
+                // canonical, shard-count-independent aligner section.
+                let mut pieces = vec![token.aligner.clone()];
+                pieces.append(
+                    &mut token
                         .aligner_shards
                         .lock()
                         .expect("aligner shard slot poisoned"),
                 );
-                let aligner = if shard_pieces.is_empty() {
-                    token.aligner.clone()
-                } else {
-                    let mut pieces = Vec::with_capacity(shard_pieces.len() + 1);
-                    pieces.push(token.aligner.clone());
-                    pieces.extend(shard_pieces);
-                    AlignerCheckpoint::merge(pieces)
-                };
+                let aligner = AlignerCheckpoint::merge(pieces);
                 let checkpoint = PipelineCheckpoint {
                     version: CHECKPOINT_VERSION,
                     seq: token.request.seq,
@@ -1676,10 +1639,11 @@ fn drive(
 
 /// Builds the full clustering dataflow — alignment head included — for
 /// the configured method, producing the keyed partition stream consumed
-/// by enumeration. The grid clusterers run the sharded head (frontier
-/// router → aligner shards with fused GridAllocate → snapshot-merge
-/// tree); GDC keeps the serial `align` stage, having no grid work to
-/// fuse into shards.
+/// by enumeration. Every method runs the sharded head (frontier router →
+/// aligner shards with fused GridAllocate → snapshot-merge tree); only the
+/// clustering after it differs: the grid clusterers key the head's objects
+/// through GridQuery → GridSync → DBSCAN, GDC clusters each window in one
+/// subtask.
 #[allow(clippy::too_many_arguments)]
 fn cluster_stages(
     source: Stream<InputMsg>,
@@ -1690,8 +1654,7 @@ fn cluster_stages(
     balancer: Option<LoadBalancer>,
     sync: Option<SyncHandle>,
     sync_resume: Option<SyncCheckpoint>,
-    align: Option<AlignHandle>,
-    aligner: TimeAligner,
+    align: AlignHandle,
     aligner_ckpt: Option<AlignerCheckpoint>,
     records_ingested: u64,
 ) -> Stream<PartMsg> {
@@ -1700,200 +1663,162 @@ fn cluster_stages(
     let dbscan = config.dbscan;
     let metric = config.metric;
     let lg = config.lg;
-    match config.clusterer {
-        ClustererKind::Rjc | ClustererKind::Srj => {
-            let full_replication = config.clusterer == ClustererKind::Srj;
-            let build_then_query = full_replication;
-            let routing = routing.expect("grid clusterers run with a routing layer");
-            let table = Arc::clone(&routing.table);
-            let tracker = Arc::clone(&routing.tracker);
-            let sync_stats = Arc::clone(&sync.expect("grid clusterers run with sync stats").stats);
-            let align_stats =
-                Arc::clone(&align.expect("grid clusterers run the sharded head").stats);
-            let shards = config.align_shards;
-            // The frontier router: the one serial subtask, owning the
-            // chains (partitioned by shard) and the global seal frontier.
-            // On restore it rebuilds from the checkpoint's canonical
-            // aligner section — at this deployment's shard count, which
-            // may differ from the one that wrote it.
-            let router = match &aligner_ckpt {
-                Some(ckpt) => ShardedAligner::from_checkpoint(config.aligner, shards, ckpt),
-                None => ShardedAligner::new(config.aligner, shards),
-            };
-            let routed = source.single(
-                "align-route",
-                Exchange::Rebalance,
-                AlignRouteOp {
-                    reported_late: router.late_dropped_total(),
-                    router,
-                    metrics: metrics.clone(),
-                    obs: obs.clone(),
-                    stats: Arc::clone(&align_stats),
-                    records_ingested,
-                    buckets: vec![Vec::new(); shards],
-                    sealed: Vec::new(),
-                },
-            );
-            // S aligner shards, keyed by trajectory: each buffers the rows
-            // of its trajectories and — at the router's Seal punctuation —
-            // runs GridAllocate over them (per-record stateless, so the
-            // cell-assignment work rides the shards for free) and emits
-            // one grid-object partial per sealed time.
-            let eps = dbscan.eps;
-            let shard_partials = routed.apply(
-                "align-shard",
-                shards,
-                Exchange::per_record(|msg: &RouteMsg| match msg {
-                    RouteMsg::Records { shard, .. } => Routing::Key(*shard as u64),
-                    RouteMsg::Seal { .. } | RouteMsg::Barrier(_) => Routing::Broadcast,
-                }),
-                move |i| {
-                    let mut buffers = BTreeMap::new();
-                    if let Some(ckpt) = aligner_ckpt.as_ref() {
-                        // The same owner→shard mapping the exchange routes
-                        // by, so each shard reloads exactly the buffered
-                        // rows it will keep receiving.
-                        let piece =
-                            ckpt.piece(false, |owner| subtask_for(hash_id(owner), shards) == i);
-                        for snapshot in piece.buffers {
-                            buffers.insert(snapshot.time.0, snapshot);
-                        }
-                    }
-                    AlignShardOp {
-                        shard: i,
-                        grid: Grid::new(lg),
-                        eps,
-                        full_replication,
-                        buffers,
-                    }
-                },
-            );
-            // The partials reduce through an aggregation tree (same fanin
-            // as the sync tree, ticks and barriers aligned at every level)
-            // down to the one finalizer that runs the load balancer and
-            // releases each window to the keyed grid exchange.
-            let m0 = metrics.clone();
-            let final_obs = obs.clone();
-            let final_balancer = balancer;
-            let final_table = Arc::clone(&table);
-            let final_tracker = Arc::clone(&tracker);
-            let grid_objects = shard_partials.reduce_tree(
-                "snap-merge",
-                shards,
-                config.sync_fanin,
-                |msg: &SnapMsg| msg.from(),
-                |slot| SnapCombineOp {
-                    slot,
-                    align: TreeWindowAlign::new(slot.inputs),
-                },
-                move |inputs| SnapFinalOp {
-                    metrics: m0,
-                    obs: final_obs,
-                    balancer: final_balancer,
-                    table: final_table,
-                    tracker: final_tracker,
-                    align: TreeWindowAlign::new(inputs),
-                    grid: Grid::new(lg),
-                    eps: dbscan.eps,
-                    full_replication,
-                },
-            );
-            // Keyed on the grid cell either statically (`hash % N`) or
-            // through the swappable routing table; ticks and barriers
-            // broadcast either way.
-            let route = |msg: &ClusterMsg| match msg {
-                ClusterMsg::Obj(o) => Routing::Key(stable_hash(&o.key)),
-                ClusterMsg::Tick(_) | ClusterMsg::Barrier(_) => Routing::Broadcast,
-            };
-            let exchange = if config.rebalance.is_some() {
-                Exchange::dynamic(table, route)
-            } else {
-                Exchange::per_record(route)
-            };
-            let pairs = grid_objects.apply("grid-query", n, exchange, move |subtask| {
-                QueryOp::new(
-                    dbscan.eps,
-                    metric,
-                    build_then_query,
-                    subtask,
-                    n,
-                    Arc::clone(&tracker),
-                )
-            });
-            // The sharded merge path: pairs key on their owner's shard so
-            // every duplicate of a pair meets its twin on one subtask,
-            // each shard dedups the partitions it owns, and the partial
-            // merges reduce through the aggregation tree down to the one
-            // finalizer that runs DBSCAN and seals the window.
-            let shard_stats = Arc::clone(&sync_stats);
-            let shard_resume = sync_resume.clone();
-            let partials = pairs.apply(
-                "sync-shard",
-                n,
-                Exchange::per_record(|msg: &PairMsg| match msg {
-                    PairMsg::Pairs { shard, .. } => Routing::Key(*shard as u64),
-                    PairMsg::Tick(_) | PairMsg::Barrier(_) => Routing::Broadcast,
-                }),
-                move |i| ShardSyncOp::build(i, n, Arc::clone(&shard_stats), shard_resume.as_ref()),
-            );
-            let final_stats = Arc::clone(&sync_stats);
-            let windows_sealed = sync_resume.map(|s| s.windows_sealed).unwrap_or(0);
-            partials.reduce_tree(
-                "sync-merge",
-                n,
-                config.sync_fanin,
-                |msg: &MergeMsg| msg.from(),
-                |slot| MergeCombineOp {
-                    slot,
-                    align: TreeWindowAlign::new(slot.inputs),
-                },
-                move |inputs| MergeFinalOp {
-                    m,
-                    dbscan,
-                    stats: final_stats,
-                    windows_sealed,
-                    align: TreeWindowAlign::new(inputs),
-                },
-            )
-        }
-        ClustererKind::Gdc => {
-            // The serial head: §4 alignment and the checkpoint cut in one
-            // subtask, complete aligner checkpoints in the token.
-            let snapshots = source.single(
-                "align",
-                Exchange::Rebalance,
-                AlignBarrierOp {
-                    reported_late: aligner.late_dropped(),
-                    aligner,
-                    metrics: metrics.clone(),
-                    obs: obs.clone(),
-                    records_ingested,
-                    scratch: Vec::new(),
-                },
-            );
-            let m0 = metrics.clone();
-            snapshots.single(
-                "gdc-cluster",
-                Exchange::Rebalance,
-                GdcOp {
-                    clusterer: GdcClusterer::new(dbscan, metric),
-                    m,
-                    metrics: m0,
-                },
-            )
-        }
+    let full_replication = config.clusterer == ClustererKind::Srj;
+    let shards = config.align_shards;
+    // The frontier router: the one serial subtask, owning the chains
+    // (partitioned by shard) and the global seal frontier. On restore it
+    // rebuilds from the checkpoint's canonical aligner section — at this
+    // deployment's shard count, which may differ from the one that wrote it.
+    let router = match &aligner_ckpt {
+        Some(ckpt) => ShardedAligner::from_checkpoint(config.aligner, shards, ckpt),
+        None => ShardedAligner::new(config.aligner, shards),
+    };
+    let routed = source.single(
+        "align-route",
+        Exchange::Rebalance,
+        AlignRouteOp {
+            reported_late: router.late_dropped_total(),
+            router,
+            metrics: metrics.clone(),
+            obs: obs.clone(),
+            stats: align.stats,
+            records_ingested,
+            buckets: vec![Vec::new(); shards],
+            sealed: Vec::new(),
+        },
+    );
+    // S aligner shards, keyed by trajectory: each buffers the rows of its
+    // trajectories and — at the router's Seal punctuation — runs
+    // GridAllocate over them (per-record stateless, so the cell-assignment
+    // work rides the shards for free) and emits one grid-object partial per
+    // sealed time.
+    let eps = dbscan.eps;
+    let shard_partials = routed.apply(
+        "align-shard",
+        shards,
+        Exchange::per_record(|msg: &RouteMsg| match msg {
+            RouteMsg::Records { shard, .. } => Routing::Key(*shard as u64),
+            RouteMsg::Seal { .. } | RouteMsg::Barrier(_) => Routing::Broadcast,
+        }),
+        move |i| {
+            let mut buffers = BTreeMap::new();
+            if let Some(ckpt) = aligner_ckpt.as_ref() {
+                // The same owner→shard mapping the exchange routes by, so
+                // each shard reloads exactly the buffered rows it will keep
+                // receiving.
+                let piece = ckpt.piece(false, |owner| subtask_for(hash_id(owner), shards) == i);
+                for snapshot in piece.buffers {
+                    buffers.insert(snapshot.time.0, snapshot);
+                }
+            }
+            AlignShardOp {
+                shard: i,
+                grid: Grid::new(lg),
+                eps,
+                full_replication,
+                buffers,
+            }
+        },
+    );
+    // The partials reduce through an aggregation tree (same fanin as the
+    // sync tree, ticks and barriers aligned at every level) down to the one
+    // finalizer that runs the load balancer and releases each window.
+    let m0 = metrics.clone();
+    let final_obs = obs.clone();
+    let final_routing = routing.clone();
+    let grid_objects = shard_partials.reduce_tree(
+        "snap-merge",
+        shards,
+        config.sync_fanin,
+        |msg: &SnapMsg| msg.from(),
+        |slot| SnapCombineOp {
+            slot,
+            align: TreeWindowAlign::new(slot.inputs),
+        },
+        move |inputs| SnapFinalOp {
+            metrics: m0,
+            obs: final_obs,
+            // Without a routing layer (GDC) there is nothing to balance.
+            balancer: balancer.filter(|_| final_routing.is_some()),
+            routing: final_routing,
+            align: TreeWindowAlign::new(inputs),
+            grid: Grid::new(lg),
+            eps,
+            full_replication,
+        },
+    );
+    if config.clusterer == ClustererKind::Gdc {
+        return grid_objects.single(
+            "gdc-cluster",
+            Exchange::Rebalance,
+            GdcOp {
+                clusterer: GdcClusterer::new(dbscan, metric),
+                m,
+                entries: Vec::new(),
+            },
+        );
     }
+    let routing = routing.expect("grid clusterers run with a routing layer");
+    let sync_stats = sync.expect("grid clusterers run with sync stats").stats;
+    let tracker = Arc::clone(&routing.tracker);
+    // Keyed on the grid cell either statically (`hash % N`) or through the
+    // swappable routing table; ticks and barriers broadcast either way.
+    let route = |msg: &ClusterMsg| match msg {
+        ClusterMsg::Obj(o) => Routing::Key(stable_hash(&o.key)),
+        ClusterMsg::Tick(_) | ClusterMsg::Barrier(_) => Routing::Broadcast,
+    };
+    let exchange = if config.rebalance.is_some() {
+        Exchange::dynamic(routing.table, route)
+    } else {
+        Exchange::per_record(route)
+    };
+    let pairs = grid_objects.apply("grid-query", n, exchange, move |subtask| {
+        QueryOp::new(
+            dbscan.eps,
+            metric,
+            full_replication,
+            subtask,
+            n,
+            Arc::clone(&tracker),
+        )
+    });
+    // The sharded merge path: pairs key on their owner's shard so every
+    // duplicate of a pair meets its twin on one subtask, each shard dedups
+    // the partitions it owns, and the partial merges reduce through the
+    // aggregation tree down to the one finalizer that runs DBSCAN and seals
+    // the window.
+    let shard_stats = Arc::clone(&sync_stats);
+    let shard_resume = sync_resume.clone();
+    let partials = pairs.apply(
+        "sync-shard",
+        n,
+        Exchange::per_record(|msg: &PairMsg| match msg {
+            PairMsg::Pairs { shard, .. } => Routing::Key(*shard as u64),
+            PairMsg::Tick(_) | PairMsg::Barrier(_) => Routing::Broadcast,
+        }),
+        move |i| ShardSyncOp::build(i, n, Arc::clone(&shard_stats), shard_resume.as_ref()),
+    );
+    let windows_sealed = sync_resume.map(|s| s.windows_sealed).unwrap_or(0);
+    partials.reduce_tree(
+        "sync-merge",
+        n,
+        config.sync_fanin,
+        |msg: &MergeMsg| msg.from(),
+        |slot| MergeCombineOp {
+            slot,
+            align: TreeWindowAlign::new(slot.inputs),
+        },
+        move |inputs| MergeFinalOp {
+            m,
+            dbscan,
+            stats: sync_stats,
+            windows_sealed,
+            align: TreeWindowAlign::new(inputs),
+        },
+    )
 }
 
 // ---- messages --------------------------------------------------------------
-
-/// Align → clustering (the GDC serial head).
-#[derive(Debug, Clone)]
-enum AlignMsg {
-    Snapshot(Snapshot),
-    /// Checkpoint barrier: trails every snapshot sealed before the cut.
-    Barrier(Arc<BarrierToken>),
-}
 
 /// Frontier router → aligner shards. Kept records travel keyed by their
 /// owning shard; seal punctuation and barriers broadcast. The router
@@ -2071,74 +1996,6 @@ enum OutMsg {
 }
 
 // ---- operators -------------------------------------------------------------
-
-/// The align stage: §4 time alignment plus the checkpoint cut. Owns the
-/// authoritative record count and the late-drop mirror.
-struct AlignBarrierOp {
-    aligner: TimeAligner,
-    metrics: PipelineMetrics,
-    obs: MetricRegistry,
-    reported_late: u64,
-    records_ingested: u64,
-    /// Sealed-snapshot scratch, reused across records and batches (the
-    /// per-record `TimeAligner::push` would allocate a vector each call).
-    scratch: Vec<Snapshot>,
-}
-
-impl AlignBarrierOp {
-    fn sync_late_counter(&mut self) {
-        let total = self.aligner.late_dropped();
-        if total > self.reported_late {
-            let dropped = total - self.reported_late;
-            self.metrics.mark_late(dropped);
-            self.obs
-                .emit(ObsEventKind::LateBatchDropped { records: dropped });
-            self.reported_late = total;
-        }
-    }
-
-    /// Drains sealed snapshots accumulated in the scratch into the
-    /// collector. Must run before a barrier token is emitted: snapshots
-    /// sealed by pre-cut records belong in front of the cut.
-    fn emit_sealed(&mut self, out: &mut Collector<AlignMsg>) {
-        out.emit_all(self.scratch.drain(..).map(AlignMsg::Snapshot));
-        self.sync_late_counter();
-    }
-}
-
-impl Operator<InputMsg, AlignMsg> for AlignBarrierOp {
-    fn process(&mut self, input: InputMsg, out: &mut Collector<AlignMsg>) {
-        match input {
-            InputMsg::Record(record) => {
-                self.records_ingested += 1;
-                self.aligner.push_into(record, &mut self.scratch);
-                self.emit_sealed(out);
-            }
-            InputMsg::Batch(records) => {
-                self.records_ingested += records.len() as u64;
-                for record in records {
-                    self.aligner.push_into(record, &mut self.scratch);
-                }
-                self.emit_sealed(out);
-            }
-            InputMsg::Barrier(request) => {
-                out.emit(AlignMsg::Barrier(Arc::new(BarrierToken {
-                    request,
-                    aligner: self.aligner.checkpoint(),
-                    records_ingested: self.records_ingested,
-                    aligner_shards: Mutex::new(Vec::new()),
-                    routing: Mutex::new(None),
-                    sync: Mutex::new(Vec::new()),
-                })));
-            }
-        }
-    }
-
-    fn finish(&mut self, out: &mut Collector<AlignMsg>) {
-        out.emit_all(self.aligner.flush().into_iter().map(AlignMsg::Snapshot));
-        self.sync_late_counter();
-    }
-}
 
 /// The frontier router of the sharded head: the one serial subtask. Owns
 /// the §4 chains, partitioned by destination shard, and the global seal
@@ -2398,8 +2255,8 @@ struct SnapFinalOp {
     obs: MetricRegistry,
     /// `Some` in adaptive mode (owned here; single subtask).
     balancer: Option<LoadBalancer>,
-    table: Arc<RoutingTable>,
-    tracker: Arc<LoadTracker>,
+    /// The routing layer the balancer drives (`None` under GDC).
+    routing: Option<RoutingHandle>,
     align: TreeWindowAlign<Vec<icpe_cluster::GridObject>>,
     /// Sub-cell refinement context: the same grid geometry and replication
     /// mode the aligner shards allocate with, so hot-cell objects can be
@@ -2424,7 +2281,7 @@ impl SnapFinalOp {
         &mut self,
         objects: Vec<icpe_cluster::GridObject>,
     ) -> Vec<icpe_cluster::GridObject> {
-        let Some(balancer) = &mut self.balancer else {
+        let (Some(balancer), Some(routing)) = (&mut self.balancer, &self.routing) else {
             return objects;
         };
         let (split_cells, coalesced_cells, unpinned) = balancer.refine_boundary();
@@ -2454,12 +2311,13 @@ impl SnapFinalOp {
             *records.entry(o.key).or_default() += 1;
         }
         balancer.observe_records(&records);
-        let drained = self.tracker.drain_cells();
+        let drained = routing.tracker.drain_cells();
         for (_, cells) in drained {
             balancer.observe_pairs_window(&cells);
         }
         if let Some(outcome) = balancer.place(split_cells, coalesced_cells, unpinned) {
-            self.table
+            routing
+                .table
                 .note_window_loads(outcome.max_load, outcome.mean_load);
             for &(base, depth) in &outcome.split_cells {
                 self.obs.emit(ObsEventKind::CellSplit {
@@ -2480,11 +2338,12 @@ impl SnapFinalOp {
                     epoch: plan.epoch,
                     cells: plan.migrated,
                 });
-                self.table
+                routing
+                    .table
                     .install(plan.epoch, plan.assignments, plan.migrated);
             }
             let tree = balancer.refinement();
-            self.table.note_refinement(
+            routing.table.note_refinement(
                 tree.refined_cells(),
                 tree.max_depth(),
                 balancer.splits(),
@@ -2509,7 +2368,7 @@ impl Operator<SnapMsg, ClusterMsg> for SnapFinalOp {
                 if let Some(objects) = self.align.tick(time) {
                     // Empty windows run the full boundary protocol too —
                     // the balancer cadence and the downstream tick fabric
-                    // match the serial head's empty snapshots exactly.
+                    // match the serial aligner's empty snapshots exactly.
                     let objects = self.maybe_rebalance(objects);
                     self.metrics.mark_ingest(time);
                     out.emit_all(objects.into_iter().map(ClusterMsg::Obj));
@@ -3002,29 +2861,43 @@ impl Operator<MergeMsg, PartMsg> for MergeFinalOp {
     }
 }
 
-/// GDC (centralized) clustering straight from snapshots to partitions.
+/// GDC (centralized) clustering. The head's finalizer emits each window's
+/// objects followed by its tick; the data objects (one per record — query
+/// replicas only feed the grid join) rebuild the window's snapshot.
 struct GdcOp {
     clusterer: GdcClusterer,
     m: usize,
-    metrics: PipelineMetrics,
+    /// The open window's entries.
+    entries: Vec<SnapshotEntry>,
 }
 
-impl Operator<AlignMsg, PartMsg> for GdcOp {
-    fn process(&mut self, msg: AlignMsg, out: &mut Collector<PartMsg>) {
-        let snapshot = match msg {
-            AlignMsg::Snapshot(s) => s,
-            AlignMsg::Barrier(token) => {
-                out.emit(PartMsg::Barrier(token));
-                return;
+impl Operator<ClusterMsg, PartMsg> for GdcOp {
+    fn process(&mut self, msg: ClusterMsg, out: &mut Collector<PartMsg>) {
+        match msg {
+            ClusterMsg::Obj(o) => {
+                if !o.is_query {
+                    self.entries.push(SnapshotEntry {
+                        id: o.id,
+                        location: o.location,
+                        last_time: None,
+                    });
+                }
             }
-        };
-        self.metrics.mark_ingest(snapshot.time.0);
-        let t = snapshot.time.0;
-        let clusters: ClusterSnapshot = self.clusterer.cluster(&snapshot);
-        for partition in id_partitions(&clusters, self.m) {
-            out.emit(PartMsg::Part { time: t, partition });
+            ClusterMsg::Tick(t) => {
+                let snapshot = Snapshot {
+                    time: Timestamp(t),
+                    entries: std::mem::take(&mut self.entries),
+                };
+                let clusters: ClusterSnapshot = self.clusterer.cluster(&snapshot);
+                for partition in id_partitions(&clusters, self.m) {
+                    out.emit(PartMsg::Part { time: t, partition });
+                }
+                out.emit(PartMsg::Tick(t));
+                self.entries = snapshot.entries;
+                self.entries.clear();
+            }
+            ClusterMsg::Barrier(token) => out.emit(PartMsg::Barrier(token)),
         }
-        out.emit(PartMsg::Tick(t));
     }
 }
 
@@ -3057,14 +2930,10 @@ impl Operator<PartMsg, OutMsg> for EnumerateOp {
                 // At the barrier this subtask has ticked through exactly
                 // the snapshots sealed before the cut; its engine state is
                 // the consistent one to capture.
-                let engine = self
-                    .engine
-                    .checkpoint()
-                    .expect("pipeline engines support checkpointing");
                 out.emit(OutMsg::Checkpoint {
                     subtask: self.subtask,
                     token,
-                    engine,
+                    engine: self.engine.checkpoint(),
                 });
             }
         }

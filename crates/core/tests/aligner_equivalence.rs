@@ -2,10 +2,10 @@
 //! detection semantics: on randomized, out-of-order skewed workloads the
 //! sharded TimeAligner + fused GridAllocate head seals the *exact same
 //! pattern multiset* — and drops the *exact same late records* — as the
-//! serial head (align_shards = 1, parallelism = 1), for all three
-//! enumeration engines, across arbitrary shard counts, batch sizes, both
-//! aggregation-tree shapes, and a checkpoint/restore cut that resumes on a
-//! *different* shard count.
+//! serial oracle (`TimeAligner` + `IcpeEngine`), for all three enumeration
+//! engines, the RJC and GDC clusterers, across arbitrary shard counts,
+//! batch sizes, both aggregation-tree shapes, and a checkpoint/restore cut
+//! that resumes on a *different* shard count.
 //!
 //! Why this must hold: the seal decision is a global min-over-chains
 //! frontier, and the sharded head keeps it global — the serial router owns
@@ -17,7 +17,10 @@
 //! decision can change *which* records participate, so the sealed pattern
 //! multiset is pinned to the serial semantics.
 
-use icpe_core::{BalancerConfig, EnumeratorKind, IcpeConfig, IcpePipeline, PipelineEvent};
+use icpe_core::{
+    BalancerConfig, ClustererKind, EnumeratorKind, IcpeConfig, IcpeEngine, IcpePipeline,
+    PipelineEvent,
+};
 use icpe_gen::{HotspotConfig, HotspotGenerator};
 use icpe_runtime::{AlignerConfig, TimeAligner};
 use icpe_types::{Constraints, GpsRecord, ObjectId, Pattern, Timestamp};
@@ -113,7 +116,29 @@ fn serial_late_count(records: &[GpsRecord], aligner: AlignerConfig) -> u64 {
     oracle.late_dropped()
 }
 
+/// The full serial oracle: the same arrival sequence through a
+/// [`TimeAligner`] feeding an [`IcpeEngine`] snapshot by snapshot — every
+/// sealed pattern plus the late-drop total.
+fn serial_oracle(config: &IcpeConfig, records: &[GpsRecord]) -> (Vec<Pattern>, u64) {
+    let mut aligner = TimeAligner::new(config.aligner);
+    let mut engine = IcpeEngine::new(config.clone());
+    let mut patterns = Vec::new();
+    let mut sealed = Vec::new();
+    for r in records {
+        aligner.push_into(*r, &mut sealed);
+        for snapshot in sealed.drain(..) {
+            patterns.extend(engine.push_snapshot(snapshot));
+        }
+    }
+    for snapshot in aligner.flush() {
+        patterns.extend(engine.push_snapshot(snapshot));
+    }
+    patterns.extend(engine.finish());
+    (patterns, aligner.late_dropped())
+}
+
 fn config(
+    clusterer: ClustererKind,
     kind: EnumeratorKind,
     parallelism: usize,
     shards: usize,
@@ -128,6 +153,7 @@ fn config(
         .parallelism(parallelism)
         .align_shards(shards)
         .sync_fanin(fanin)
+        .clusterer(clusterer)
         .enumerator(kind)
         .batch_size(batch)
         .aligner(aligner)
@@ -171,18 +197,17 @@ fn run_collecting(config: &IcpeConfig, records: &[GpsRecord], chunk: usize) -> (
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Sharded ≡ serial, all engines, arbitrary shard counts decoupled from
-    /// the body parallelism, arbitrary batch and ingest-chunk sizes, both
-    /// tree shapes (fanin 2 = the deepest snapshot-merge tree, N = the flat
-    /// funnel), on out-of-order input. The baseline is the parallelism-1 /
-    /// single-shard deployment whose head degenerates to the pre-sharding
-    /// serial aligner.
+    /// Sharded ≡ serial oracle, all engines, RJC and GDC, arbitrary shard
+    /// counts decoupled from the body parallelism, arbitrary batch and
+    /// ingest-chunk sizes, both tree shapes (fanin 2 = the deepest
+    /// snapshot-merge tree, N = the flat funnel), on out-of-order input.
     #[test]
     fn sharded_head_seals_identical_pattern_multisets(
         seed in 0u64..500,
         parallelism in 2usize..5,
         shards in 1usize..6,
         kind_idx in 0usize..3,
+        gdc in proptest::bool::ANY,
         batch in 1usize..64,
         chunk in 1usize..80,
         deep_tree in proptest::bool::ANY,
@@ -192,25 +217,27 @@ proptest! {
             EnumeratorKind::Fba,
             EnumeratorKind::Vba,
         ][kind_idx];
+        let clusterer = if gdc { ClustererKind::Gdc } else { ClustererKind::Rjc };
         let fanin = if deep_tree { 2 } else { shards.max(2) };
         let mut records = skewed_records(seed, 24);
         scramble(&mut records, seed ^ 0xA5A5);
         let aligner = AlignerConfig::default();
-        let (want, want_late) =
-            run_collecting(&config(kind, 1, 1, 1, 2, aligner), &records, 1);
-        let (got, got_late) =
-            run_collecting(&config(kind, parallelism, shards, batch, fanin, aligner), &records, chunk);
+        let cfg = config(clusterer, kind, parallelism, shards, batch, fanin, aligner);
+        let (want, want_late) = serial_oracle(&cfg, &records);
+        let (got, got_late) = run_collecting(&cfg, &records, chunk);
         prop_assert_eq!(
             got_late,
             want_late,
-            "late-drop decisions diverged: kind {:?} shards {}",
+            "late-drop decisions diverged: {:?}/{:?} shards {}",
+            clusterer,
             kind,
             shards
         );
         prop_assert_eq!(
             multiset(&got),
             multiset(&want),
-            "kind {:?} parallelism {} shards {} batch {} chunk {} fanin {}",
+            "{:?}/{:?} parallelism {} shards {} batch {} chunk {} fanin {}",
+            clusterer,
             kind,
             parallelism,
             shards,
@@ -222,10 +249,11 @@ proptest! {
 
     /// A checkpoint cut mid-disorder, resumed on a *different* aligner shard
     /// count (and the other tree shape), still seals the uninterrupted
-    /// serial multiset: the router piece carries the chains and the global
-    /// frontier, the buffer-only shard pieces re-partition to whatever
-    /// `hash_id(owner) % N'` says on the new deployment, and no sealed or
-    /// buffered row is lost or doubled in the move.
+    /// serial oracle's multiset, for RJC and GDC alike: the router piece
+    /// carries the chains and the global frontier, the buffer-only shard
+    /// pieces re-partition to whatever `hash_id(owner) % N'` says on the new
+    /// deployment, and no sealed or buffered row is lost or doubled in the
+    /// move.
     #[test]
     fn reshard_restore_matches_uninterrupted_serial(
         seed in 0u64..500,
@@ -233,6 +261,7 @@ proptest! {
         shards in 1usize..6,
         shard_delta in 1usize..5,
         kind_idx in 0usize..3,
+        gdc in proptest::bool::ANY,
         batch in 1usize..64,
         cut_windows in 8u32..16,
         deep_tree in proptest::bool::ANY,
@@ -242,6 +271,7 @@ proptest! {
             EnumeratorKind::Fba,
             EnumeratorKind::Vba,
         ][kind_idx];
+        let clusterer = if gdc { ClustererKind::Gdc } else { ClustererKind::Rjc };
         // Guaranteed different shard count on resume (delta ∈ 1..=4 mod 5).
         let resume_shards = (shards - 1 + shard_delta) % 5 + 1;
         prop_assert_ne!(resume_shards, shards);
@@ -260,11 +290,9 @@ proptest! {
             5,
         );
         let aligner = AlignerConfig::default();
-        let (want, want_late) =
-            run_collecting(&config(kind, 1, 1, 1, 2, aligner), &records, 1);
-
         let cut = (cut_windows as usize * RECORDS_PER_TICK).min(records.len());
-        let cfg = config(kind, parallelism, shards, batch, fanin, aligner);
+        let cfg = config(clusterer, kind, parallelism, shards, batch, fanin, aligner);
+        let (want, want_late) = serial_oracle(&cfg, &records);
         let pre: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&pre);
         let live = IcpePipeline::launch(&cfg, move |e| {
@@ -280,7 +308,8 @@ proptest! {
         let delivered_before = pre.lock().unwrap().clone();
         drop(live); // crash: the end-of-stream flush is discarded
 
-        let resume_cfg = config(kind, parallelism, resume_shards, batch, resume_fanin, aligner);
+        let resume_cfg =
+            config(clusterer, kind, parallelism, resume_shards, batch, resume_fanin, aligner);
         let post: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&post);
         let resumed = IcpePipeline::launch_from(&resume_cfg, &ckpt, move |e| {
@@ -304,7 +333,8 @@ proptest! {
         prop_assert_eq!(
             multiset(&got),
             multiset(&want),
-            "kind {:?} shards {}→{} batch {} cut {} fanin {}→{}",
+            "{:?}/{:?} shards {}→{} batch {} cut {} fanin {}→{}",
+            clusterer,
             kind,
             shards,
             resume_shards,
@@ -340,15 +370,26 @@ fn late_boundary_drops_match_the_serial_aligner_oracle() {
     let oracle = serial_late_count(&records, TIGHT);
     assert!(oracle > 0, "workload must actually exercise the late path");
 
-    let (want, serial_late) =
-        run_collecting(&config(EnumeratorKind::Fba, 1, 1, 1, 2, TIGHT), &records, 1);
+    let (want, serial_late) = run_collecting(
+        &config(ClustererKind::Rjc, EnumeratorKind::Fba, 1, 1, 1, 2, TIGHT),
+        &records,
+        1,
+    );
     assert_eq!(
         serial_late, oracle,
         "the serial pipeline head is the oracle's twin"
     );
     for shards in [2usize, 4] {
         let (got, late) = run_collecting(
-            &config(EnumeratorKind::Fba, 3, shards, 16, 2, TIGHT),
+            &config(
+                ClustererKind::Rjc,
+                EnumeratorKind::Fba,
+                3,
+                shards,
+                16,
+                2,
+                TIGHT,
+            ),
             &records,
             24,
         );
@@ -391,7 +432,7 @@ fn late_counters_survive_a_reshard_cycle_without_multiplication() {
     assert!(oracle_cut > 0, "drops must land before the cut");
     assert!(oracle_full > oracle_cut, "and more after it");
 
-    let cfg = config(EnumeratorKind::Fba, 3, 3, 16, 2, TIGHT);
+    let cfg = config(ClustererKind::Rjc, EnumeratorKind::Fba, 3, 3, 16, 2, TIGHT);
     let live = IcpePipeline::launch(&cfg, |_| {});
     for slice in records[..cut].chunks(16) {
         live.push_batch(slice.to_vec()).unwrap();
@@ -409,13 +450,10 @@ fn late_counters_survive_a_reshard_cycle_without_multiplication() {
 
     // Resume on a different shard count; the restored gauge resumes from
     // the cut instead of zero.
-    let resume_cfg = config(EnumeratorKind::Fba, 3, 5, 16, 2, TIGHT);
+    let resume_cfg = config(ClustererKind::Rjc, EnumeratorKind::Fba, 3, 5, 16, 2, TIGHT);
     let resumed = IcpePipeline::launch_from(&resume_cfg, &ckpt, |_| {}).unwrap();
     assert_eq!(
-        resumed
-            .align_status()
-            .expect("sharded head exposes gauges")
-            .late_dropped,
+        resumed.align_status().late_dropped,
         oracle_cut,
         "restored late gauge seeds from the checkpoint"
     );
@@ -433,25 +471,49 @@ fn late_counters_survive_a_reshard_cycle_without_multiplication() {
 
 /// The head's gauges track the sharded deployment while it runs: shard
 /// count, live chains, and a sealed frontier that has actually advanced.
+/// GDC runs the same head stages as RJC.
 #[test]
 fn aligner_gauges_track_the_sharded_head() {
     let records = skewed_records(29, 24);
-    let cfg = config(EnumeratorKind::Fba, 2, 4, 16, 2, AlignerConfig::default());
-    let live = IcpePipeline::launch(&cfg, |_| {});
-    for slice in records.chunks(16) {
-        live.push_batch(slice.to_vec()).unwrap();
+    for clusterer in [ClustererKind::Rjc, ClustererKind::Gdc] {
+        let cfg = config(
+            clusterer,
+            EnumeratorKind::Fba,
+            2,
+            4,
+            16,
+            2,
+            AlignerConfig::default(),
+        );
+        let live = IcpePipeline::launch(&cfg, |_| {});
+        for slice in records.chunks(16) {
+            live.push_batch(slice.to_vec()).unwrap();
+        }
+        // A checkpoint round-trips through every stage, so the gauges
+        // published on the router thread are current when it returns.
+        let _ = live.checkpoint().unwrap();
+        let status = live.align_status();
+        assert_eq!(status.shards, 4, "{clusterer:?}");
+        assert!(status.chains > 0, "36 live trajectories must register");
+        assert!(status.sealed_up_to > 0, "frontier must have advanced");
+        assert!(
+            status.min_shard_frontier <= status.max_shard_frontier,
+            "frontier range is ordered"
+        );
+        assert!(status.imbalance() >= 1.0);
+        let stages: Vec<String> = live
+            .obs()
+            .stage_seconds()
+            .into_iter()
+            .map(|(stage, _)| stage)
+            .collect();
+        for head in ["align-route", "align-shard", "snap-merge-final"] {
+            assert!(
+                stages.iter().any(|s| s == head),
+                "{clusterer:?}: {stages:?}"
+            );
+        }
+        assert!(!stages.iter().any(|s| s == "align"), "{stages:?}");
+        live.finish();
     }
-    // A checkpoint round-trips through every stage, so the gauges published
-    // on the router thread are current when it returns.
-    let _ = live.checkpoint().unwrap();
-    let status = live.align_status().expect("sharded head exposes gauges");
-    assert_eq!(status.shards, 4);
-    assert!(status.chains > 0, "36 live trajectories must register");
-    assert!(status.sealed_up_to > 0, "frontier must have advanced");
-    assert!(
-        status.min_shard_frontier <= status.max_shard_frontier,
-        "frontier range is ordered"
-    );
-    assert!(status.imbalance() >= 1.0);
-    live.finish();
 }

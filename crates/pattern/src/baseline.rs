@@ -144,15 +144,15 @@ impl PatternEngine for BaselineEngine {
         self.skipped
     }
 
-    fn checkpoint(&self) -> Option<EngineCheckpoint> {
+    fn checkpoint(&self) -> EngineCheckpoint {
         let (last_time, window_owners) = self.windows.checkpoint();
-        Some(EngineCheckpoint {
+        EngineCheckpoint {
             kind: "BA".into(),
             last_time,
             skipped_partitions: self.skipped as u64,
             window_owners,
             vba_owners: Vec::new(),
-        })
+        }
     }
 }
 

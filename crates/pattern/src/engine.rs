@@ -73,13 +73,10 @@ pub trait PatternEngine {
         0
     }
 
-    /// Captures the engine's full streaming state in durable form, or
-    /// `None` for engines that do not support checkpointing (the default).
+    /// Captures the engine's full streaming state in durable form.
     /// Restore is per-engine ([`FbaEngine::from_checkpoint`] etc.) because
     /// it needs the concrete type back.
-    fn checkpoint(&self) -> Option<EngineCheckpoint> {
-        None
-    }
+    fn checkpoint(&self) -> EngineCheckpoint;
 }
 
 /// Deduplicates patterns by object set (the same set may be reported from

@@ -203,15 +203,15 @@ impl PatternEngine for FbaEngine {
         tasks.into_iter().flat_map(|t| self.process(t)).collect()
     }
 
-    fn checkpoint(&self) -> Option<EngineCheckpoint> {
+    fn checkpoint(&self) -> EngineCheckpoint {
         let (last_time, window_owners) = self.windows.checkpoint();
-        Some(EngineCheckpoint {
+        EngineCheckpoint {
             kind: "FBA".into(),
             last_time,
             skipped_partitions: 0,
             window_owners,
             vba_owners: Vec::new(),
-        })
+        }
     }
 }
 

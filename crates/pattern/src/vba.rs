@@ -468,7 +468,7 @@ impl PatternEngine for VbaEngine {
         out
     }
 
-    fn checkpoint(&self) -> Option<EngineCheckpoint> {
+    fn checkpoint(&self) -> EngineCheckpoint {
         let mut vba_owners: Vec<VbaOwnerCheckpoint> = self
             .owners
             .iter()
@@ -505,13 +505,13 @@ impl PatternEngine for VbaEngine {
             })
             .collect();
         vba_owners.sort_by_key(|o| o.owner);
-        Some(EngineCheckpoint {
+        EngineCheckpoint {
             kind: "VBA".into(),
             last_time: self.last_time,
             skipped_partitions: 0,
             window_owners: Vec::new(),
             vba_owners,
-        })
+        }
     }
 }
 

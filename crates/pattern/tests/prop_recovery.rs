@@ -57,7 +57,7 @@ where
         got.extend(original.push(s));
         want.extend(reference.push(s));
     }
-    let ckpt = original.checkpoint().expect("engines support checkpoint");
+    let ckpt = original.checkpoint();
 
     // Canonical form: serialize → parse → restore → checkpoint is
     // byte-identical.
@@ -65,7 +65,7 @@ where
     let parsed: EngineCheckpoint = serde_json::from_str(&json).unwrap();
     prop_assert_eq!(&parsed, &ckpt);
     let mut restored = restore(&parsed);
-    let json2 = serde_json::to_string(&restored.checkpoint().unwrap()).unwrap();
+    let json2 = serde_json::to_string(&restored.checkpoint()).unwrap();
     prop_assert_eq!(json2, json, "re-serialization is not canonical");
 
     // Behaviour: restored engine + suffix == uninterrupted engine.
@@ -142,7 +142,7 @@ proptest! {
         for s in stream(&spec) {
             engine.push(&s);
         }
-        let mut ckpt = engine.checkpoint().unwrap();
+        let mut ckpt = engine.checkpoint();
         let Some(owner) = ckpt.vba_owners.iter_mut().find(|o| !o.open.is_empty()) else {
             return; // nothing open to corrupt this round
         };
@@ -168,7 +168,7 @@ fn engines_reject_foreign_checkpoints() {
         Timestamp(0),
         [vec![ObjectId(1), ObjectId(2)]],
     ));
-    let ckpt = fba.checkpoint().unwrap();
+    let ckpt = fba.checkpoint();
     assert!(matches!(
         VbaEngine::from_checkpoint(config, &ckpt, |_| true),
         Err(CheckpointError::EngineMismatch { .. })
@@ -195,13 +195,12 @@ fn owner_filter_partition_roundtrip() {
             ],
         ));
     }
-    let full = engine.checkpoint().unwrap();
+    let full = engine.checkpoint();
     let pieces: Vec<EngineCheckpoint> = (0..3)
         .map(|i| {
             FbaEngine::from_checkpoint(config, &full, |o| o.0 % 3 == i)
                 .unwrap()
                 .checkpoint()
-                .unwrap()
         })
         .collect();
     let merged = EngineCheckpoint::merge(pieces).unwrap();

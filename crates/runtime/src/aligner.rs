@@ -17,7 +17,6 @@
 //! trajectory either is clarified through `u` or has lagged out (see
 //! [`AlignerConfig::max_lag`]).
 
-use crate::operator::{Collector, Operator};
 use icpe_types::shard::{hash_id, subtask_for};
 use icpe_types::{AlignerCheckpoint, ChainCheckpoint, GpsRecord, ObjectId, Snapshot, Timestamp};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -604,9 +603,8 @@ impl ShardedAligner {
 }
 
 /// Point-in-time view of the sharded aligner head, for STATUS/METRICS.
-/// `Default` is the zeroed no-head view (a GDC deployment runs the serial
-/// aligner and exposes no shard gauges) — status renderers use it to keep
-/// every key present.
+/// `Default` is the all-zero view a status renderer shows before a
+/// pipeline has launched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AlignerStatus {
     /// Number of aligner shards (the head's parallelism).
@@ -705,74 +703,6 @@ impl AlignStats {
             min_shard_frontier: self.min_frontier.load(Ordering::Relaxed),
             max_shard_frontier: self.max_frontier.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// [`TimeAligner`] as a pipeline [`Operator`].
-pub struct AlignOperator {
-    aligner: TimeAligner,
-    /// Shared recorder the late-drop counter is mirrored into (the operator
-    /// itself is owned by its subtask thread, so drivers observe the count
-    /// through this instead).
-    metrics: Option<crate::metrics::PipelineMetrics>,
-    reported_late: u64,
-    /// Sealed-snapshot scratch, reused across records (batch processing
-    /// would otherwise allocate a result vector per record).
-    scratch: Vec<Snapshot>,
-}
-
-impl AlignOperator {
-    /// Wraps an aligner for use in a dataflow stage (parallelism must be 1,
-    /// since alignment is a global ordering decision).
-    pub fn new(config: AlignerConfig) -> Self {
-        AlignOperator {
-            aligner: TimeAligner::new(config),
-            metrics: None,
-            reported_late: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Like [`AlignOperator::new`], additionally mirroring the late-record
-    /// counter into a shared [`PipelineMetrics`](crate::PipelineMetrics).
-    pub fn with_metrics(config: AlignerConfig, metrics: crate::metrics::PipelineMetrics) -> Self {
-        AlignOperator {
-            aligner: TimeAligner::new(config),
-            metrics: Some(metrics),
-            reported_late: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    fn sync_late_counter(&mut self) {
-        if let Some(metrics) = &self.metrics {
-            let total = self.aligner.late_dropped();
-            if total > self.reported_late {
-                metrics.mark_late(total - self.reported_late);
-                self.reported_late = total;
-            }
-        }
-    }
-}
-
-impl Operator<GpsRecord, Snapshot> for AlignOperator {
-    fn process(&mut self, input: GpsRecord, out: &mut Collector<Snapshot>) {
-        self.aligner.push_into(input, &mut self.scratch);
-        out.emit_all(self.scratch.drain(..));
-        self.sync_late_counter();
-    }
-
-    fn process_batch(&mut self, batch: Vec<GpsRecord>, out: &mut Collector<Snapshot>) {
-        for input in batch {
-            self.aligner.push_into(input, &mut self.scratch);
-        }
-        out.emit_all(self.scratch.drain(..));
-        self.sync_late_counter();
-    }
-
-    fn finish(&mut self, out: &mut Collector<Snapshot>) {
-        out.emit_all(self.aligner.flush());
-        self.sync_late_counter();
     }
 }
 
@@ -980,23 +910,6 @@ mod tests {
         let mut a = aligner();
         assert!(a.flush().is_empty());
         assert_eq!(a.pending(), 0);
-    }
-
-    #[test]
-    fn operator_wrapper_emits_through_collector() {
-        // Default config has lateness = 2: nothing seals while the stream is
-        // only 2 ticks deep; finish() flushes everything.
-        let mut op = AlignOperator::new(AlignerConfig::default());
-        let mut c = Collector::new();
-        op.process(rec(1, 0, None), &mut c);
-        op.process(rec(1, 1, Some(0)), &mut c);
-        let first: Vec<Snapshot> = c.drain().collect();
-        assert!(first.is_empty());
-        op.finish(&mut c);
-        let rest: Vec<Snapshot> = c.drain().collect();
-        assert_eq!(rest.len(), 2);
-        assert_eq!(rest[0].time, Timestamp(0));
-        assert_eq!(rest[1].time, Timestamp(1));
     }
 
     #[test]

@@ -39,9 +39,7 @@ pub mod operator;
 pub mod routing;
 pub mod stream;
 
-pub use aligner::{
-    AlignOperator, AlignStats, AlignerConfig, AlignerStatus, Routed, ShardedAligner, TimeAligner,
-};
+pub use aligner::{AlignStats, AlignerConfig, AlignerStatus, Routed, ShardedAligner, TimeAligner};
 pub use exchange::{Disconnected, Exchange, Routing};
 pub use fault::{FaultKind, FaultPlan, FaultPoint, StageFailure};
 pub use metrics::{MetricsReport, PipelineMetrics, StreamProgress};

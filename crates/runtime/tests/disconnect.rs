@@ -5,10 +5,10 @@
 //! the failure modes a network serving layer exercises.
 
 use icpe_runtime::{
-    ingest_channel, map_fn, AlignOperator, AlignerConfig, Collector, Exchange, Operator,
-    PipelineMetrics, RuntimeConfig, Stream, TimeAligner,
+    ingest_channel, map_fn, AlignerConfig, Collector, Exchange, Operator, RuntimeConfig, Stream,
+    TimeAligner,
 };
-use icpe_types::{GpsRecord, ObjectId, Point, Snapshot, Timestamp};
+use icpe_types::{GpsRecord, ObjectId, Point, Timestamp};
 use std::time::Duration;
 
 fn cfg() -> RuntimeConfig {
@@ -159,26 +159,4 @@ fn late_records_are_dropped_and_counted_deterministically() {
         sealed.iter().map(|s| s.time.0).collect::<Vec<_>>()
     );
     assert_eq!(aligner.late_dropped(), 2, "no spurious late counts");
-}
-
-#[test]
-fn align_operator_mirrors_late_counts_into_shared_metrics() {
-    let metrics = PipelineMetrics::new();
-    let mut op = AlignOperator::with_metrics(
-        AlignerConfig {
-            max_lag: 2,
-            emit_empty: true,
-            lateness: 0,
-        },
-        metrics.clone(),
-    );
-    let mut out = Collector::<Snapshot>::new();
-    op.process(rec(1, 0, None), &mut out);
-    for t in 1..8 {
-        op.process(rec(1, t, Some(t - 1)), &mut out);
-    }
-    op.process(rec(2, 0, None), &mut out); // late
-    op.finish(&mut out);
-    assert_eq!(metrics.progress().late_records, 1);
-    assert_eq!(metrics.report().late_records, 1);
 }

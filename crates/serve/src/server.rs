@@ -263,7 +263,7 @@ struct Shared {
     /// The sharded sync merge path's gauge view, when the engine runs one
     /// (for `STATUS`).
     sync: Mutex<Option<SyncHandle>>,
-    /// The sharded aligner head's gauge view, when the engine runs one
+    /// The sharded aligner head's gauge view, once the engine launches
     /// (for `STATUS`).
     align: Mutex<Option<AlignHandle>>,
     /// The pipeline's supervision health (for `STATUS`/`METRICS`). Always
@@ -560,7 +560,7 @@ impl Server {
         *shared.obs.lock() = Some(pipeline.obs().clone());
         *shared.routing.lock() = pipeline.routing().cloned();
         *shared.sync.lock() = pipeline.sync().cloned();
-        *shared.align.lock() = pipeline.align().cloned();
+        *shared.align.lock() = Some(pipeline.align().clone());
         *shared.health.lock() = Some(pipeline.health_handle());
         if !skipped.is_empty() {
             if let Some(obs) = &*shared.obs.lock() {

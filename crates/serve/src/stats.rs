@@ -125,10 +125,10 @@ impl ServerStats {
     }
 
     /// Renders the `STATUS` response: one `key=value` per line, stable keys,
-    /// merging the network-edge counters with the pipeline's live metrics
-    /// and — when the engine runs a keyed grid stage — the routing layer's
-    /// epoch/load-balance gauges, the sharded sync merge path's dedup/seal
-    /// gauges, and the sharded aligner head's chain/frontier gauges.
+    /// merging the network-edge counters with the pipeline's live metrics,
+    /// the sharded aligner head's chain/frontier gauges and — when the
+    /// engine runs a keyed grid stage — the routing layer's epoch/load-balance
+    /// gauges and the sharded sync merge path's dedup/seal gauges.
     pub fn render(
         &self,
         pipeline: &PipelineMetrics,
@@ -227,8 +227,8 @@ impl ServerStats {
         // The sharded aligner head: how the trajectory chains spread across
         // the shards and how far apart the per-shard frontiers run (a wide
         // spread means one shard's slow trajectories hold the global seal
-        // back). Same always-render contract as the routing/sync keys — a
-        // GDC deployment runs the serial head and renders them zeroed.
+        // back). Same always-render contract as the routing/sync keys —
+        // zeroed until the pipeline has launched.
         let a = align.unwrap_or_default();
         line("aligner_shards", a.shards.to_string());
         line("aligner_chains", a.chains.to_string());
@@ -545,7 +545,7 @@ mod tests {
     fn render_includes_aligner_gauges() {
         let stats = ServerStats::new();
         let pipeline = PipelineMetrics::new();
-        // Without a sharded head (GDC) the keys still render, zeroed.
+        // Before the pipeline launches the keys still render, zeroed.
         let kv = parse_status(&stats.render(&pipeline, None, None, None, 0));
         let get = |k: &str| kv.iter().find(|(key, _)| key == k).unwrap().1.clone();
         assert_eq!(get("aligner_shards"), "0");

@@ -18,9 +18,8 @@
 //! * [`gen`] — trajectory workload generators (Brinkhoff-style network
 //!   movement, GeoLife/Taxi-like synthetics, planted co-movement groups).
 //! * [`core`] — the assembled ICPE framework with its builder-style API:
-//!   the synchronous [`core::IcpeEngine`], the push-based
-//!   [`core::StreamingEngine`], and the distributed [`core::IcpePipeline`]
-//!   in batch ([`core::IcpePipeline::run`]) or live
+//!   the synchronous [`core::IcpeEngine`] and the distributed
+//!   [`core::IcpePipeline`] in batch ([`core::IcpePipeline::run`]) or live
 //!   ([`core::IcpePipeline::launch`]) form.
 //! * [`persist`] — durable checkpoints: atomic, CRC-verified,
 //!   retention-bounded files holding the consistent pipeline snapshots
