@@ -27,7 +27,7 @@
 use icpe_index::{GridKey, RefinementTree};
 use icpe_types::shard::{stable_hash, subtask_for};
 use icpe_types::{CellAssignment, CellLoadCheckpoint, CellRefinement, RoutingCheckpoint};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Mutex;
 
 /// One cell's observed load in one window.
@@ -72,24 +72,25 @@ const MAX_READY_BACKLOG: usize = 64;
 #[derive(Debug, Default)]
 struct TrackerInner {
     /// Per-cell loads of windows that have fully sealed, awaiting the
-    /// balancer's drain — one entry per window. Only whole windows land
-    /// here: folding a partially flushed window into the balancer's
-    /// estimates would make a cell's load appear to halve and double with
-    /// scheduling luck, and the balancer would chase that noise with
-    /// useless migrations.
-    ready: Vec<(u32, HashMap<GridKey, CellLoad>)>,
+    /// balancer's drain — one entry per window, every subtask's report
+    /// concatenated. Only whole windows land here: folding a partially
+    /// flushed window into the balancer's estimates would make a cell's
+    /// load appear to halve and double with scheduling luck, and the
+    /// balancer would chase that noise with useless migrations.
+    ready: VecDeque<(u32, Vec<(GridKey, CellLoad)>)>,
     /// Open windows: per-cell and per-subtask loads plus how many
     /// subtasks reported.
     open: BTreeMap<u32, WindowAcc>,
     /// Sealed windows (every subtask reported), ascending by time.
     sealed: Vec<(u32, Vec<u64>)>,
-    /// Per-cell loads of sealed windows (for hindsight analyses).
-    sealed_cells: Vec<(u32, Vec<(GridKey, u64)>)>,
+    /// Per-cell weights of sealed windows (for hindsight analyses), in
+    /// report order; sorted, and a cell reported twice merged, on read.
+    sealed_cells: VecDeque<(u32, Vec<(GridKey, u64)>)>,
 }
 
 #[derive(Debug, Default)]
 struct WindowAcc {
-    cells: HashMap<GridKey, CellLoad>,
+    cells: Vec<(GridKey, CellLoad)>,
     loads: Vec<u64>,
     reports: usize,
 }
@@ -108,27 +109,18 @@ impl LoadTracker {
         self.parallelism
     }
 
-    /// Records one cell's load in window `time` (called by the owning
-    /// subtask at the window flush). The loads stay staged until the
-    /// whole window seals.
-    pub fn record_cell(&self, time: u32, cell: GridKey, load: CellLoad) {
-        let mut inner = self.inner.lock().expect("load tracker poisoned");
-        let entry = inner
-            .open
-            .entry(time)
-            .or_default()
-            .cells
-            .entry(cell)
-            .or_default();
-        entry.records += load.records;
-        entry.pairs += load.pairs;
-    }
-
-    /// Records one subtask's total load for window `time`. Every subtask
-    /// reports every window (ticks are broadcast), so the window seals at
-    /// the `parallelism`-th report — at which point its per-cell loads
-    /// become drainable as one consistent unit.
-    pub fn record_window(&self, time: u32, subtask: usize, load: u64) {
+    /// Records one subtask's flush of window `time`: its total load and
+    /// the load of every cell it flushed — one lock per subtask and
+    /// window. Every subtask reports every window (ticks are broadcast),
+    /// so the window seals at the `parallelism`-th report, at which point
+    /// its per-cell loads become drainable as one consistent unit.
+    pub fn record_window(
+        &self,
+        time: u32,
+        subtask: usize,
+        load: u64,
+        cells: &[(GridKey, CellLoad)],
+    ) {
         let n = self.parallelism;
         let mut inner = self.inner.lock().expect("load tracker poisoned");
         let acc = inner.open.entry(time).or_default();
@@ -138,42 +130,49 @@ impl LoadTracker {
         if let Some(slot) = acc.loads.get_mut(subtask) {
             *slot += load;
         }
+        acc.cells.extend_from_slice(cells);
         acc.reports += 1;
         if acc.reports >= n {
             let acc = inner.open.remove(&time).expect("window present");
-            let mut cells: Vec<(GridKey, u64)> =
-                acc.cells.iter().map(|(&c, l)| (c, l.weight())).collect();
-            cells.sort_by_key(|&(c, _)| (c.x, c.y, c.level));
-            inner.ready.push((time, acc.cells));
+            let weights: Vec<(GridKey, u64)> =
+                acc.cells.iter().map(|(c, l)| (*c, l.weight())).collect();
+            inner.ready.push_back((time, acc.cells));
             inner.sealed.push((time, acc.loads));
-            inner.sealed_cells.push((time, cells));
+            inner.sealed_cells.push_back((time, weights));
             let excess = inner.sealed.len().saturating_sub(MAX_WINDOW_HISTORY);
             if excess > 0 {
                 inner.sealed.drain(..excess);
             }
-            let excess = inner
-                .sealed_cells
-                .len()
-                .saturating_sub(MAX_CELL_WINDOW_HISTORY);
-            if excess > 0 {
-                inner.sealed_cells.drain(..excess);
+            if inner.sealed_cells.len() > MAX_CELL_WINDOW_HISTORY {
+                inner.sealed_cells.pop_front();
             }
-            let excess = inner.ready.len().saturating_sub(MAX_READY_BACKLOG);
-            if excess > 0 {
-                inner.ready.drain(..excess);
+            if inner.ready.len() > MAX_READY_BACKLOG {
+                inner.ready.pop_front();
             }
         }
     }
 
-    /// Per-window per-cell loads of sealed windows, ascending by time —
-    /// what an oracle placement (hindsight LPT per window) is computed
-    /// from in the skew bench.
+    /// Per-window per-cell loads of sealed windows, ascending by time and,
+    /// within a window, by cell — what an oracle placement (hindsight LPT
+    /// per window) is computed from in the skew bench.
     pub fn sealed_cell_windows(&self) -> Vec<(u32, Vec<(GridKey, u64)>)> {
-        self.inner
-            .lock()
-            .expect("load tracker poisoned")
+        let inner = self.inner.lock().expect("load tracker poisoned");
+        inner
             .sealed_cells
-            .clone()
+            .iter()
+            .map(|(time, cells)| {
+                let mut weights = cells.clone();
+                weights.sort_by_key(|&(c, _)| (c.x, c.y, c.level));
+                weights.dedup_by(|later, kept| {
+                    let same = later.0 == kept.0;
+                    if same {
+                        kept.1 += later.1;
+                    }
+                    same
+                });
+                (*time, weights)
+            })
+            .collect()
     }
 
     /// Takes the per-cell loads of every window sealed since the last
@@ -183,7 +182,19 @@ impl LoadTracker {
     /// bursts; folding a burst as if it were one window whipsaws any
     /// decayed estimate by the burst length).
     pub fn drain_cells(&self) -> Vec<(u32, HashMap<GridKey, CellLoad>)> {
-        std::mem::take(&mut self.inner.lock().expect("load tracker poisoned").ready)
+        let ready = std::mem::take(&mut self.inner.lock().expect("load tracker poisoned").ready);
+        ready
+            .into_iter()
+            .map(|(time, cells)| {
+                let mut folded: HashMap<GridKey, CellLoad> = HashMap::with_capacity(cells.len());
+                for (cell, load) in cells {
+                    let entry = folded.entry(cell).or_default();
+                    entry.records += load.records;
+                    entry.pairs += load.pairs;
+                }
+                (time, folded)
+            })
+            .collect()
     }
 
     /// All sealed windows so far, `(time, per-subtask loads)` ascending —
@@ -1043,10 +1054,10 @@ mod tests {
     #[test]
     fn tracker_seals_windows_after_all_reports() {
         let t = LoadTracker::new(3);
-        t.record_window(0, 0, 10);
-        t.record_window(0, 1, 0);
+        t.record_window(0, 0, 10, &[]);
+        t.record_window(0, 1, 0, &[]);
         assert!(t.last_sealed().is_none(), "one report missing");
-        t.record_window(0, 2, 5);
+        t.record_window(0, 2, 5, &[]);
         assert_eq!(t.last_sealed(), Some((0, vec![10, 0, 5])));
         assert_eq!(t.sealed_windows().len(), 1);
     }
@@ -1054,15 +1065,20 @@ mod tests {
     #[test]
     fn tracker_drains_whole_windows_only() {
         let t = LoadTracker::new(2);
-        t.record_cell(0, GridKey::new(1, 1), load(4, 6));
-        t.record_cell(0, GridKey::new(1, 1), load(1, 0));
-        t.record_cell(0, GridKey::new(2, 2), load(2, 0));
-        t.record_window(0, 0, 11);
+        t.record_window(
+            0,
+            0,
+            11,
+            &[
+                (GridKey::new(1, 1), load(4, 6)),
+                (GridKey::new(2, 2), load(2, 0)),
+            ],
+        );
         assert!(
             t.drain_cells().is_empty(),
             "half-reported windows must not leak into the estimates"
         );
-        t.record_window(0, 1, 2);
+        t.record_window(0, 1, 2, &[(GridKey::new(1, 1), load(1, 0))]);
         let drained = t.drain_cells();
         assert_eq!(drained.len(), 1, "one whole window");
         let (time, cells) = &drained[0];
@@ -1070,6 +1086,11 @@ mod tests {
         assert_eq!(cells[&GridKey::new(1, 1)].weight(), 11);
         assert_eq!(cells[&GridKey::new(2, 2)].weight(), 2);
         assert!(t.drain_cells().is_empty(), "drain resets");
+        // The hindsight view merges the cell both subtasks reported.
+        assert_eq!(
+            t.sealed_cell_windows(),
+            vec![(0, vec![(GridKey::new(1, 1), 11), (GridKey::new(2, 2), 2)])]
+        );
     }
 
     #[test]
@@ -1231,8 +1252,7 @@ mod tests {
     fn tracker_history_is_bounded() {
         let t = LoadTracker::new(1);
         for time in 0..(super::MAX_WINDOW_HISTORY as u32 + 50) {
-            t.record_cell(time, GridKey::new(0, 0), load(1, 0));
-            t.record_window(time, 0, 1);
+            t.record_window(time, 0, 1, &[(GridKey::new(0, 0), load(1, 0))]);
         }
         // Nothing drains in static mode; every buffer must stay bounded.
         assert_eq!(t.sealed_windows().len(), super::MAX_WINDOW_HISTORY);

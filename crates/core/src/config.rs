@@ -321,7 +321,11 @@ impl IcpeConfigBuilder {
         self
     }
 
-    /// Overrides the Baseline partition-size guard.
+    /// Overrides the Baseline partition-size guard (default 22): BA skips
+    /// and counts partitions wider than `n` instead of enumerating their
+    /// `2^n` subsets. BA's subsets are `u64` masks, so
+    /// [`IcpeConfigBuilder::build`] rejects `n` above
+    /// [`icpe_pattern::MAX_BASELINE_PARTITION`] (63) with a [`TypeError`].
     pub fn max_baseline_partition(mut self, n: usize) -> Self {
         self.max_baseline_partition = n;
         self
@@ -400,6 +404,13 @@ impl IcpeConfigBuilder {
             TypeError::InvalidConstraints("constraints(M,K,L,G) must be provided".into())
         })?;
         let dbscan = DbscanParams::new(self.eps, self.min_pts)?;
+        if self.max_baseline_partition > icpe_pattern::MAX_BASELINE_PARTITION {
+            return Err(TypeError::InvalidEngineConfig(format!(
+                "max_baseline_partition must be at most {}, got {}",
+                icpe_pattern::MAX_BASELINE_PARTITION,
+                self.max_baseline_partition
+            )));
+        }
         let lg = self.lg.unwrap_or(8.0 * self.eps);
         if lg <= 0.0 || !lg.is_finite() {
             return Err(TypeError::InvalidDbscanParams(format!(
@@ -456,6 +467,17 @@ mod tests {
             .constraints(Constraints::new(2, 2, 1, 1).unwrap())
             .epsilon(-1.0);
         assert!(b.build().is_err());
+    }
+
+    #[test]
+    fn builder_rejects_baseline_guard_wider_than_a_mask() {
+        let b = || IcpeConfig::builder().constraints(Constraints::new(2, 2, 1, 1).unwrap());
+        let c = b().max_baseline_partition(63).build().unwrap();
+        assert_eq!(c.max_baseline_partition, 63);
+        assert!(matches!(
+            b().max_baseline_partition(64).build(),
+            Err(TypeError::InvalidEngineConfig(_))
+        ));
     }
 
     #[test]

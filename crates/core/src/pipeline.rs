@@ -2390,9 +2390,10 @@ impl Operator<SnapMsg, ClusterMsg> for SnapFinalOp {
 
 /// GridQuery (Algorithm 2) as a keyed operator: one subtask owns many cells;
 /// objects buffer per time in one flat vector and the range queries run at
-/// the snapshot-boundary tick. Each flush accounts the subtask's per-cell
-/// load (buffered objects + produced pairs) into the shared
-/// [`LoadTracker`] — the signal the adaptive balancer repartitions on.
+/// the snapshot-boundary tick. Each flush hands the subtask's per-cell load
+/// (buffered objects + produced pairs) to the shared [`LoadTracker`] in
+/// one report per window — the signal the adaptive balancer repartitions
+/// on.
 struct QueryOp {
     eps: f64,
     metric: DistanceMetric,
@@ -2418,6 +2419,9 @@ struct QueryOp {
     items: Vec<(icpe_types::Point, ObjectId)>,
     /// SRJ per-probe hit scratch (owned ids), reused across probes.
     hits: Vec<ObjectId>,
+    /// The flushing window's per-cell loads, reported in one call and
+    /// reused across ticks.
+    cell_loads: Vec<(GridKey, CellLoad)>,
 }
 
 impl QueryOp {
@@ -2442,12 +2446,14 @@ impl QueryOp {
             shard_pairs: vec![Vec::new(); shards.max(1)],
             items: Vec::new(),
             hits: Vec::new(),
+            cell_loads: Vec::new(),
         }
     }
 
     fn flush_time(&mut self, t: u32, out: &mut Collector<PairMsg>) {
         let shards = self.shard_pairs.len();
         let mut window_load = 0u64;
+        self.cell_loads.clear();
         if let Some(mut objects) = self.buffers.remove(&t) {
             objects.sort_unstable_by(|a, b| {
                 (a.key, a.is_query)
@@ -2487,15 +2493,12 @@ impl QueryOp {
                     // RJC: Lemma 2 as a forward-only sort-sweep.
                     self.engine.run_cell(cell_objects, &mut self.cell_pairs);
                 }
-                window_load += cell_objects.len() as u64 + self.cell_pairs.len() as u64;
-                self.tracker.record_cell(
-                    t,
-                    cell,
-                    CellLoad {
-                        records: cell_objects.len() as u64,
-                        pairs: self.cell_pairs.len() as u64,
-                    },
-                );
+                let load = CellLoad {
+                    records: cell_objects.len() as u64,
+                    pairs: self.cell_pairs.len() as u64,
+                };
+                window_load += load.weight();
+                self.cell_loads.push((cell, load));
                 for &pair in &self.cell_pairs {
                     self.shard_pairs[subtask_for(hash_id(pair.0), shards)].push(pair);
                 }
@@ -2503,7 +2506,8 @@ impl QueryOp {
             objects.clear();
             self.spare.push(objects);
         }
-        self.tracker.record_window(t, self.subtask, window_load);
+        self.tracker
+            .record_window(t, self.subtask, window_load, &self.cell_loads);
         for shard in 0..shards {
             if !self.shard_pairs[shard].is_empty() {
                 out.emit(PairMsg::Pairs {

@@ -6,10 +6,18 @@
 //! compression of FBA/VBA eliminates. Partitions beyond a configurable size
 //! are skipped and counted ([`BaselineEngine::skipped_partitions`]), which is
 //! the honest version of "B cannot run on large datasets" (Figure 12).
+//! Subsets are `u64` masks over the partition's members, so no partition
+//! wider than [`MAX_BASELINE_PARTITION`] is ever enumerated, whatever the
+//! configured guard says.
 
-use crate::engine::{EngineConfig, PatternEngine, WindowState, WindowTask};
+use crate::engine::{EngineConfig, PatternEngine, WindowState, WindowView};
 use crate::runs::{runs_from_times, runs_witness, runs_witness_anchored, Semantics};
 use icpe_types::{CheckpointError, EngineCheckpoint, ObjectId, Pattern, TimeSequence};
+
+/// The widest partition the Baseline can enumerate: its subsets are the
+/// masks `1..2^n` of a `u64`. A wider
+/// [`EngineConfig::max_baseline_partition`] acts as this value.
+pub const MAX_BASELINE_PARTITION: usize = 63;
 
 /// The Baseline pattern-enumeration engine.
 #[derive(Debug)]
@@ -62,20 +70,25 @@ impl BaselineEngine {
         })
     }
 
-    fn process(&mut self, task: WindowTask) -> Vec<Pattern> {
-        let members = &task.window[0];
+    /// Enumerates one window's patterns into `out`.
+    fn process(
+        config: &EngineConfig,
+        skipped: &mut usize,
+        task: WindowView<'_>,
+        out: &mut Vec<Pattern>,
+    ) {
+        let members = task.members();
         let n = members.len();
-        if n > self.config.max_baseline_partition {
-            self.skipped += 1;
-            return Vec::new();
+        if n > config.max_baseline_partition.min(MAX_BASELINE_PARTITION) {
+            *skipped += 1;
+            return;
         }
-        let c = &self.config.constraints;
+        let c = &config.constraints;
         let need = c.m() - 1; // owner is implicit
         if n < need {
-            return Vec::new();
+            return;
         }
         let masks = task.member_masks();
-        let mut out = Vec::new();
 
         // Enumerate every subset with |O| ≥ M − 1 (the exponential loop).
         for subset in 1u64..(1u64 << n) {
@@ -95,7 +108,7 @@ impl BaselineEngine {
             // Under the paper's greedy semantics the window verifies only
             // from its own start (offset 0, Algorithm 3 line 3: T = {t});
             // later starts have their own windows.
-            let witness = match self.config.semantics {
+            let witness = match config.semantics {
                 Semantics::Subsequence => {
                     runs_witness(&runs, c.k(), c.l(), c.g(), Semantics::Subsequence)
                 }
@@ -113,7 +126,6 @@ impl BaselineEngine {
                 .expect("witness offsets are strictly increasing");
             out.push(Pattern::new(objects, times));
         }
-        out
     }
 }
 
@@ -131,13 +143,27 @@ impl PatternEngine for BaselineEngine {
         time: icpe_types::Timestamp,
         partitions: Vec<crate::partition::Partition>,
     ) -> Vec<Pattern> {
-        let tasks = self.windows.push_partitions(time, partitions);
-        tasks.into_iter().flat_map(|t| self.process(t)).collect()
+        let BaselineEngine {
+            config,
+            windows,
+            skipped,
+        } = self;
+        let mut out = Vec::new();
+        windows.push_partitions(time, partitions, |task| {
+            Self::process(config, skipped, task, &mut out)
+        });
+        out
     }
 
     fn finish(&mut self) -> Vec<Pattern> {
-        let tasks = self.windows.finish();
-        tasks.into_iter().flat_map(|t| self.process(t)).collect()
+        let BaselineEngine {
+            config,
+            windows,
+            skipped,
+        } = self;
+        let mut out = Vec::new();
+        windows.finish(|task| Self::process(config, skipped, task, &mut out));
+        out
     }
 
     fn overflowed_partitions(&self) -> usize {
@@ -264,6 +290,25 @@ mod tests {
         let stream: Vec<ClusterSnapshot> = (0..4).map(|t| cs(t, &refs)).collect();
         let _ = run_stream(&mut engine, &stream);
         assert!(engine.skipped_partitions() > 0);
+    }
+
+    #[test]
+    fn guard_beyond_a_mask_still_skips_wide_partitions() {
+        // A guard of 64 would shift a u64 by 64; the engine caps it at 63.
+        let c = Constraints::new(2, 2, 1, 2).unwrap();
+        let mut cfg = EngineConfig::new(c);
+        cfg.max_baseline_partition = 64;
+        let mut engine = BaselineEngine::new(cfg);
+        let members: Vec<ObjectId> = (2..=65).map(ObjectId).collect();
+        for t in 0..3 {
+            let part = crate::partition::Partition {
+                owner: oid(1),
+                members: members.clone(),
+            };
+            assert!(engine.push_partitions(Timestamp(t), vec![part]).is_empty());
+        }
+        assert!(engine.finish().is_empty());
+        assert_eq!(engine.skipped_partitions(), 3);
     }
 
     #[test]

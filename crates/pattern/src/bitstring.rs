@@ -4,6 +4,13 @@
 //! per discretized time. The Baseline stores `O(2^n)` subsets; a bit string
 //! stores `O(η)` bits per trajectory, and candidate combination is a word-
 //! parallel `AND` (the paper's "Bit Operation").
+//!
+//! Bits pack little-endian into `u64` words: bit `i` is bit `i % 64` of word
+//! `i / 64`, and bits past the logical length are always 0. VBA keeps one
+//! growable [`BitString`] per episode. FBA does not allocate strings at
+//! all: it lays each window's members out as rows of `⌈η/64⌉` words in one
+//! reused arena (see [`crate::fba`]) and reads runs straight off the words
+//! with [`runs_of_words`], the same extraction [`BitString::runs`] uses.
 
 use crate::runs::{runs_valid, runs_witness, Run, Semantics};
 
@@ -140,21 +147,7 @@ impl BitString {
     /// The maximal runs of 1-bits, as positions `0..len`.
     pub fn runs(&self) -> Vec<Run> {
         let mut out = Vec::new();
-        let mut i = 0usize;
-        while i < self.len {
-            if self.get(i) {
-                let start = i;
-                while i < self.len && self.get(i) {
-                    i += 1;
-                }
-                out.push(Run {
-                    start: start as u32,
-                    len: (i - start) as u32,
-                });
-            } else {
-                i += 1;
-            }
-        }
+        runs_of_words(&self.words, &mut out);
         out
     }
 
@@ -174,6 +167,29 @@ impl BitString {
             .filter(|&i| self.get(i))
             .map(|i| i as u32)
             .collect()
+    }
+}
+
+/// Replaces `out` with the maximal runs of 1-bits in `words` (bit `i` is
+/// bit `i % 64` of `words[i / 64]`), ascending. Works a word at a time:
+/// each run costs two bit scans, and a run crossing a word boundary is
+/// joined to the run before it.
+pub fn runs_of_words(words: &[u64], out: &mut Vec<Run>) {
+    out.clear();
+    for (wi, &word) in words.iter().enumerate() {
+        let base = wi as u32 * 64;
+        let mut w = word;
+        while w != 0 {
+            let from = w.trailing_zeros();
+            let len = (!(w >> from)).trailing_zeros();
+            let start = base + from;
+            match out.last_mut() {
+                Some(run) if run.end() + 1 == start => run.len += len,
+                _ => out.push(Run { start, len }),
+            }
+            let to = from + len;
+            w = if to == 64 { 0 } else { w & (u64::MAX << to) };
+        }
     }
 }
 
@@ -267,6 +283,29 @@ mod tests {
             ]
         );
         assert!(BitString::zeros(8).runs().is_empty());
+    }
+
+    #[test]
+    fn word_runs_join_across_word_boundaries() {
+        // Runs ending at bit 63, spanning whole words and starting at bit 0.
+        let mut s = BitString::zeros(200);
+        for i in (60..130).chain(191..200) {
+            s.set(i);
+        }
+        s.set(0);
+        assert_eq!(
+            s.runs(),
+            vec![
+                Run { start: 0, len: 1 },
+                Run { start: 60, len: 70 },
+                Run { start: 191, len: 9 }
+            ]
+        );
+        let mut all = BitString::zeros(128);
+        for i in 0..128 {
+            all.set(i);
+        }
+        assert_eq!(all.runs(), vec![Run { start: 0, len: 128 }]);
     }
 
     #[test]

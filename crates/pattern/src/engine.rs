@@ -1,5 +1,13 @@
 //! The common pattern-engine interface and the shared η-window bookkeeping
 //! used by BA and FBA.
+//!
+//! The window bookkeeping (`WindowState`) keeps each owner's partitions in
+//! a ring (`VecDeque`) keyed by one map lookup per partition, and the
+//! pending window starts in one FIFO: partitions arrive in time order, so
+//! windows fall due in the order they were opened. A due window is not
+//! copied out; the engine reads it in place (`WindowView`) from the
+//! owner's ring, and releasing it pops the ring's oldest row. A partition's
+//! member list is moved in once and read by up to η windows.
 
 use crate::partition::{id_partitions, Partition};
 use crate::runs::Semantics;
@@ -7,8 +15,8 @@ use icpe_types::{
     ClusterSnapshot, Constraints, EngineCheckpoint, HistoryRowCheckpoint, ObjectId, Pattern,
     Timestamp, WindowOwnerCheckpoint,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 /// Configuration shared by all three enumeration engines.
 #[derive(Debug, Clone, Copy)]
@@ -19,7 +27,8 @@ pub struct EngineConfig {
     pub semantics: Semantics,
     /// Baseline guard: partitions larger than this are skipped (and counted)
     /// instead of enumerating `2^n` subsets — the paper's "B cannot run on
-    /// large datasets" behaviour, made explicit.
+    /// large datasets" behaviour, made explicit. Values above
+    /// [`crate::MAX_BASELINE_PARTITION`] act as that cap.
     pub max_baseline_partition: usize,
 }
 
@@ -88,54 +97,110 @@ pub fn unique_object_sets(patterns: &[Pattern]) -> Vec<Vec<ObjectId>> {
     sets
 }
 
-/// One ready-to-process enumeration window: the owner's partitions over
-/// `[start, start + window.len())`, where `window[0]` is the partition the
-/// candidates are drawn from (always non-empty).
-///
-/// Rows are shared (`Arc<[ObjectId]>`): one partition's member list is
-/// referenced by every overlapping window of its owner (up to η of them),
-/// so releasing a window clones reference counts, never member vectors.
-#[derive(Debug)]
-pub(crate) struct WindowTask {
+/// One ready-to-process enumeration window, read in place from its owner's
+/// retained rows: the owner's partitions over `[start, start + len)`, where
+/// the row at `start` (always present, always first) is the partition the
+/// candidates are drawn from. Offsets without a row are empty partitions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowView<'a> {
     pub owner: ObjectId,
     pub start: u32,
-    /// Partition member lists per window offset (sorted ascending each).
-    pub window: Vec<Arc<[ObjectId]>>,
+    /// Window length in snapshots: η, or less for a window truncated by
+    /// the end of the stream.
+    pub len: u32,
+    /// The owner's rows from `start` on, ascending by time (may run past
+    /// the window).
+    rows: &'a VecDeque<(u32, Vec<ObjectId>)>,
 }
 
-/// Shared η-window state: buffers each owner's partitions, schedules a
-/// window per (owner, start time where the owner has a partition), and
-/// releases windows once η snapshots are available (or at end of stream).
+impl<'a> WindowView<'a> {
+    /// The members of the window's first partition, ascending.
+    pub fn members(&self) -> &'a [ObjectId] {
+        &self.rows[0].1
+    }
+
+    /// The window's non-empty rows as `(offset, members)`, ascending by
+    /// offset.
+    pub fn rows(&self) -> impl Iterator<Item = (usize, &'a [ObjectId])> {
+        let (start, end) = (self.start, self.start + self.len);
+        self.rows
+            .iter()
+            .take_while(move |(t, _)| *t < end)
+            .map(move |(t, members)| ((t - start) as usize, members.as_slice()))
+    }
+
+    /// Calls `hit(i)` for every index `i` of [`WindowView::members`] whose
+    /// member also appears in `row` (both lists ascending: a merge scan).
+    #[inline]
+    pub fn for_each_member_in(&self, row: &[ObjectId], mut hit: impl FnMut(usize)) {
+        let members = self.members();
+        let mut mi = 0usize;
+        for &id in row {
+            while mi < members.len() && members[mi] < id {
+                mi += 1;
+            }
+            if mi == members.len() {
+                break;
+            }
+            if members[mi] == id {
+                hit(mi);
+                mi += 1;
+            }
+        }
+    }
+
+    /// Bitmask rows for the Baseline: for each window offset `j`, a mask
+    /// over the indices of [`WindowView::members`] marking which of them
+    /// are co-clustered with the owner at offset `j`. Requires at most 64
+    /// members, which [`crate::MAX_BASELINE_PARTITION`] guarantees.
+    pub fn member_masks(&self) -> Vec<u64> {
+        assert!(self.members().len() <= 64, "member masks are one word");
+        let mut masks = vec![0u64; self.len as usize];
+        for (j, row) in self.rows() {
+            self.for_each_member_in(row, |mi| masks[j] |= 1 << mi);
+        }
+        masks
+    }
+}
+
+/// Shared η-window state: a ring of retained partitions per owner and one
+/// FIFO of pending window starts.
+///
+/// Every partition pushed at time `t` is both a row of its owner's later
+/// windows and the start of its own window, which is due at `t + η − 1`.
+/// Starts arrive in time order, so the due windows are always a prefix of
+/// the FIFO, and an owner's oldest retained row is always the start of its
+/// next window: releasing a window reads the owner's ring in place, then
+/// pops that one row.
 #[derive(Debug)]
 pub(crate) struct WindowState {
     eta: u32,
-    histories: HashMap<ObjectId, BTreeMap<u32, Arc<[ObjectId]>>>,
-    starts: HashMap<ObjectId, VecDeque<u32>>,
-    /// deadline time → owners whose oldest pending start completes then.
-    deadlines: BTreeMap<u32, Vec<ObjectId>>,
+    /// Owner → its partitions not yet released as a window start,
+    /// ascending by time. Owners with no pending start have no entry.
+    rows: HashMap<ObjectId, VecDeque<(u32, Vec<ObjectId>)>>,
+    /// Pending window starts `(start, owner)`, ascending by start.
+    pending: VecDeque<(u32, ObjectId)>,
     last_time: Option<u32>,
-    /// The shared empty row filled into window offsets without a partition.
-    empty_row: Arc<[ObjectId]>,
 }
 
 impl WindowState {
     pub fn new(constraints: &Constraints) -> Self {
         WindowState {
             eta: constraints.eta() as u32,
-            histories: HashMap::new(),
-            starts: HashMap::new(),
-            deadlines: BTreeMap::new(),
+            rows: HashMap::new(),
+            pending: VecDeque::new(),
             last_time: None,
-            empty_row: Arc::from(Vec::new()),
         }
     }
 
-    /// Ingests pre-computed partitions for one time tick.
+    /// Ingests pre-computed partitions for one time tick and hands every
+    /// window that became complete to `process`, oldest start first.
     pub fn push_partitions(
         &mut self,
         time: Timestamp,
         partitions: Vec<Partition>,
-    ) -> Vec<WindowTask> {
+        mut process: impl FnMut(WindowView<'_>),
+    ) {
         let t = time.0;
         if let Some(prev) = self.last_time {
             assert!(t > prev, "cluster snapshots must arrive in time order");
@@ -143,76 +208,55 @@ impl WindowState {
         self.last_time = Some(t);
 
         for part in partitions {
-            self.histories
+            self.rows
                 .entry(part.owner)
                 .or_default()
-                .insert(t, Arc::from(part.members));
-            self.starts.entry(part.owner).or_default().push_back(t);
-            self.deadlines
-                .entry(t + self.eta - 1)
-                .or_default()
-                .push(part.owner);
+                .push_back((t, part.members));
+            self.pending.push_back((t, part.owner));
         }
 
-        let mut tasks = Vec::new();
-        let due: Vec<u32> = self.deadlines.range(..=t).map(|(&d, _)| d).collect();
-        for d in due {
-            for owner in self.deadlines.remove(&d).unwrap() {
-                tasks.push(self.release(owner, d + 1 - self.eta));
+        while let Some(&(start, owner)) = self.pending.front() {
+            if start + self.eta - 1 > t {
+                break;
             }
+            self.pending.pop_front();
+            self.release(owner, start, self.eta, &mut process);
         }
-        tasks
     }
 
-    /// Flushes the remaining (truncated) windows at end of stream.
-    pub fn finish(&mut self) -> Vec<WindowTask> {
+    /// Flushes the remaining (truncated) windows at end of stream, ordered
+    /// by `(start, owner)`.
+    pub fn finish(&mut self, mut process: impl FnMut(WindowView<'_>)) {
         let Some(last) = self.last_time else {
-            return Vec::new();
+            return;
         };
-        let mut pending: Vec<(u32, ObjectId)> = Vec::new();
-        for (&owner, starts) in &self.starts {
-            for &s in starts {
-                pending.push((s, owner));
-            }
-        }
+        let mut pending: Vec<(u32, ObjectId)> = self.pending.drain(..).collect();
         pending.sort_unstable();
-        let mut tasks = Vec::new();
-        for (s, owner) in pending {
-            let end = last.min(s + self.eta - 1);
-            let window = self.window_slice(owner, s, end);
-            tasks.push(WindowTask {
-                owner,
-                start: s,
-                window,
-            });
+        for (start, owner) in pending {
+            let end = last.min(start + self.eta - 1);
+            self.release(owner, start, end - start + 1, &mut process);
         }
-        self.histories.clear();
-        self.starts.clear();
-        self.deadlines.clear();
-        tasks
+        debug_assert!(self.rows.is_empty(), "every row is a pending start");
     }
 
     /// Captures the open-window state in durable, canonical form (owners
-    /// ascend by id; starts and history rows ascend by time).
+    /// ascend by id; starts and history rows ascend by time). Every row is
+    /// a pending start; rows with no members are listed as starts only.
     pub(crate) fn checkpoint(&self) -> (Option<u32>, Vec<WindowOwnerCheckpoint>) {
         let mut owners: Vec<WindowOwnerCheckpoint> = self
-            .starts
+            .rows
             .iter()
-            .map(|(&owner, starts)| WindowOwnerCheckpoint {
+            .map(|(&owner, rows)| WindowOwnerCheckpoint {
                 owner,
-                starts: starts.iter().copied().collect(),
-                history: self
-                    .histories
-                    .get(&owner)
-                    .map(|h| {
-                        h.iter()
-                            .map(|(&time, members)| HistoryRowCheckpoint {
-                                time,
-                                members: members.to_vec(),
-                            })
-                            .collect()
+                starts: rows.iter().map(|(t, _)| *t).collect(),
+                history: rows
+                    .iter()
+                    .filter(|(_, members)| !members.is_empty())
+                    .map(|(t, members)| HistoryRowCheckpoint {
+                        time: *t,
+                        members: members.clone(),
                     })
-                    .unwrap_or_default(),
+                    .collect(),
             })
             .collect();
         owners.sort_by_key(|o| o.owner);
@@ -222,9 +266,11 @@ impl WindowState {
     /// Rebuilds the window state from a checkpoint, keeping only owners for
     /// which `keep` returns true (the restore-time resharding hook: a
     /// restored deployment may run a different parallelism, and each
-    /// subtask loads only the owners routed to it). Window release
-    /// deadlines are derived from the pending starts, exactly as the
-    /// original pushes scheduled them.
+    /// subtask loads only the owners routed to it). Each start becomes a
+    /// row holding the history row of the same time, or no members; a
+    /// history row at a time that is no pending start can never be read by
+    /// a window and is dropped. The pending FIFO is rebuilt from the starts
+    /// in `(start, owner)` order.
     pub(crate) fn restore(
         constraints: &Constraints,
         last_time: Option<u32>,
@@ -233,98 +279,57 @@ impl WindowState {
     ) -> Self {
         let mut ws = WindowState::new(constraints);
         ws.last_time = last_time;
+        let mut pending: Vec<(u32, ObjectId)> = Vec::new();
         for o in owners {
-            if !keep(o.owner) {
+            if !keep(o.owner) || o.starts.is_empty() {
                 continue;
             }
-            if !o.starts.is_empty() {
-                ws.starts
-                    .insert(o.owner, o.starts.iter().copied().collect());
-                for &s in &o.starts {
-                    ws.deadlines
-                        .entry(s + ws.eta - 1)
-                        .or_default()
-                        .push(o.owner);
-                }
-            }
-            if !o.history.is_empty() {
-                ws.histories.insert(
-                    o.owner,
-                    o.history
-                        .iter()
-                        .map(|row| (row.time, Arc::from(row.members.as_slice())))
-                        .collect(),
-                );
-            }
+            let mut history = o.history.iter().peekable();
+            let rows = o
+                .starts
+                .iter()
+                .map(|&start| {
+                    while history.next_if(|row| row.time < start).is_some() {}
+                    let members = history
+                        .next_if(|row| row.time == start)
+                        .map(|row| row.members.clone())
+                        .unwrap_or_default();
+                    (start, members)
+                })
+                .collect();
+            ws.rows.insert(o.owner, rows);
+            pending.extend(o.starts.iter().map(|&start| (start, o.owner)));
         }
+        pending.sort_unstable();
+        ws.pending = pending.into();
         ws
     }
 
-    fn release(&mut self, owner: ObjectId, start: u32) -> WindowTask {
-        let popped = self
-            .starts
-            .get_mut(&owner)
-            .and_then(|q| q.pop_front())
-            .expect("deadline for owner without pending start");
-        debug_assert_eq!(popped, start, "window starts must release in order");
-        let window = self.window_slice(owner, start, start + self.eta - 1);
-        // Prune history no future window of this owner can reference.
-        let keep_from = self.starts.get(&owner).and_then(|q| q.front().copied());
-        match keep_from {
-            Some(f) => {
-                let hist = self.histories.get_mut(&owner).unwrap();
-                *hist = hist.split_off(&f);
-            }
-            None => {
-                self.histories.remove(&owner);
-                self.starts.remove(&owner);
-            }
-        }
-        WindowTask {
+    /// Hands the window `[start, start + len)` of `owner` to `process`,
+    /// then drops its first row (no later window of the owner starts
+    /// there).
+    fn release(
+        &mut self,
+        owner: ObjectId,
+        start: u32,
+        len: u32,
+        process: &mut impl FnMut(WindowView<'_>),
+    ) {
+        let Entry::Occupied(mut entry) = self.rows.entry(owner) else {
+            panic!("pending start for owner without rows");
+        };
+        let rows = entry.get_mut();
+        debug_assert_eq!(rows[0].0, start, "window starts must release in order");
+        process(WindowView {
             owner,
             start,
-            window,
+            len,
+            rows,
+        });
+        rows.pop_front();
+        if rows.is_empty() {
+            entry.remove();
         }
-    }
-
-    fn window_slice(&self, owner: ObjectId, start: u32, end: u32) -> Vec<Arc<[ObjectId]>> {
-        let hist = self.histories.get(&owner);
-        (start..=end)
-            .map(|j| {
-                hist.and_then(|h| h.get(&j))
-                    .cloned()
-                    .unwrap_or_else(|| Arc::clone(&self.empty_row))
-            })
-            .collect()
-    }
-}
-
-/// Shared window-task helpers for BA and FBA.
-impl WindowTask {
-    /// Bitmask rows: for each window offset `j`, a mask over the indices of
-    /// `window[0]` marking which candidates are co-clustered with the owner
-    /// at offset `j`. Requires `window[0].len() ≤ 64`.
-    pub fn member_masks(&self) -> Vec<u64> {
-        let members = &self.window[0];
-        debug_assert!(members.len() <= 64);
-        self.window
-            .iter()
-            .map(|row| {
-                let mut mask = 0u64;
-                let mut mi = 0usize;
-                // Both lists sorted: merge scan.
-                for &id in row.iter() {
-                    while mi < members.len() && members[mi] < id {
-                        mi += 1;
-                    }
-                    if mi < members.len() && members[mi] == id {
-                        mask |= 1 << mi;
-                        mi += 1;
-                    }
-                }
-                mask
-            })
-            .collect()
     }
 }
 
@@ -354,9 +359,39 @@ mod tests {
         Constraints::new(2, 2, 1, 2).unwrap()
     }
 
-    /// Test shim replicating the old snapshot-level push.
-    fn push(ws: &mut WindowState, snapshot: ClusterSnapshot) -> Vec<WindowTask> {
-        ws.push_partitions(snapshot.time, id_partitions(&snapshot, 2))
+    /// An owned copy of a released window, one (possibly empty) row per
+    /// offset.
+    struct Task {
+        owner: ObjectId,
+        start: u32,
+        window: Vec<Vec<ObjectId>>,
+    }
+
+    fn copy(view: WindowView<'_>) -> Task {
+        let mut window = vec![Vec::new(); view.len as usize];
+        for (j, row) in view.rows() {
+            window[j] = row.to_vec();
+        }
+        Task {
+            owner: view.owner,
+            start: view.start,
+            window,
+        }
+    }
+
+    /// Test shim replicating the snapshot-level push.
+    fn push(ws: &mut WindowState, snapshot: ClusterSnapshot) -> Vec<Task> {
+        let mut tasks = Vec::new();
+        ws.push_partitions(snapshot.time, id_partitions(&snapshot, 2), |v| {
+            tasks.push(copy(v))
+        });
+        tasks
+    }
+
+    fn finish(ws: &mut WindowState) -> Vec<Task> {
+        let mut tasks = Vec::new();
+        ws.finish(|v| tasks.push(copy(v)));
+        tasks
     }
 
     #[test]
@@ -372,7 +407,7 @@ mod tests {
         assert_eq!(t.owner, oid(1));
         assert_eq!(t.start, 0);
         assert_eq!(t.window.len(), 3);
-        assert_eq!(t.window[0].to_vec(), vec![oid(2)]);
+        assert_eq!(t.window[0], vec![oid(2)]);
     }
 
     #[test]
@@ -383,8 +418,8 @@ mod tests {
         push(&mut ws, cs(1, &[]));
         let tasks = push(&mut ws, cs(2, &[]));
         assert_eq!(tasks.len(), 1);
-        assert_eq!(tasks[0].window[1].to_vec(), Vec::<ObjectId>::new());
-        assert_eq!(tasks[0].window[2].to_vec(), Vec::<ObjectId>::new());
+        assert_eq!(tasks[0].window[1], Vec::<ObjectId>::new());
+        assert_eq!(tasks[0].window[2], Vec::<ObjectId>::new());
     }
 
     #[test]
@@ -393,7 +428,7 @@ mod tests {
         let mut ws = WindowState::new(&c);
         push(&mut ws, cs(5, &[&[1, 2]]));
         push(&mut ws, cs(6, &[&[1, 2]]));
-        let tasks = ws.finish();
+        let tasks = finish(&mut ws);
         assert_eq!(tasks.len(), 2); // starts at 5 and 6
         assert_eq!(tasks[0].start, 5);
         assert_eq!(tasks[0].window.len(), 2);
@@ -403,17 +438,21 @@ mod tests {
 
     #[test]
     fn member_masks_track_membership() {
-        let task = WindowTask {
+        let rows: VecDeque<(u32, Vec<ObjectId>)> = [
+            (0, vec![oid(2), oid(5), oid(9)]),
+            (1, vec![oid(5)]),
+            (2, vec![oid(2), oid(9)]),
+            (4, vec![oid(9)]),
+        ]
+        .into();
+        let view = WindowView {
             owner: oid(1),
             start: 0,
-            window: vec![
-                Arc::from(vec![oid(2), oid(5), oid(9)]),
-                Arc::from(vec![oid(5)]),
-                Arc::from(vec![oid(2), oid(9)]),
-            ],
+            len: 4,
+            rows: &rows,
         };
-        let masks = task.member_masks();
-        assert_eq!(masks, vec![0b111, 0b010, 0b101]);
+        // Offset 3 has no row; the row at offset 4 lies past the window.
+        assert_eq!(view.member_masks(), vec![0b111, 0b010, 0b101, 0]);
     }
 
     #[test]
@@ -435,9 +474,28 @@ mod tests {
         let owners: Vec<ObjectId> = tasks.iter().map(|t| t.owner).collect();
         assert!(owners.contains(&oid(1)) && owners.contains(&oid(5)));
         // Owner 5's second start is still pending.
-        let rest = ws.finish();
+        let rest = finish(&mut ws);
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].owner, oid(5));
         assert_eq!(rest[0].start, 1);
+    }
+
+    #[test]
+    fn restore_keeps_starts_without_history_rows() {
+        let c = constraints();
+        let owners = vec![WindowOwnerCheckpoint {
+            owner: oid(3),
+            starts: vec![5, 7],
+            history: vec![HistoryRowCheckpoint {
+                time: 5,
+                members: vec![oid(4), oid(9)],
+            }],
+        }];
+        let mut ws = WindowState::restore(&c, Some(7), &owners, |_| true);
+        assert_eq!(ws.checkpoint(), (Some(7), owners));
+        let tasks = finish(&mut ws);
+        assert_eq!(tasks.len(), 2);
+        assert_eq!(tasks[0].window, vec![vec![oid(4), oid(9)], vec![], vec![]]);
+        assert_eq!(tasks[1].window, vec![Vec::<ObjectId>::new()]);
     }
 }

@@ -6,10 +6,30 @@
 //! cardinality `M − 1`, combining candidates with word-parallel `AND`s.
 //! Storage drops from `O(2^n)` to `O(η·n)`; enumeration from `O(2^n)` to
 //! `O(|R|·|C| + C(|C|, M−1))`.
+//!
+//! ## The row arena
+//!
+//! A window is processed without heap allocation apart from building the
+//! patterns it reports. The window is read in place from the owner's ring of
+//! partitions ([`crate::engine`]) and transposed into one reused
+//! `Vec<u64>`: one row of `⌈η/64⌉` words per member of the window's first
+//! partition. The member's index is a row number, not a bit position, so
+//! there is no cap on the partition width and one code path serves every
+//! η. Validity is decided by extracting runs from the words into a reused
+//! `Vec<Run>` and calling [`runs_valid`] / [`runs_witness`] — the same
+//! implementation BA, VBA and the oracle use, under both [`Semantics`].
+//!
+//! The apriori levels live in two pairs of flat arenas (candidate positions
+//! plus AND-ed words) that swap per level. Sets are visited breadth-first
+//! and, within a level, in lexicographic order of their candidate indices.
+//! Two prunes skip only sets that could not be reported: a set whose
+//! AND has fewer than `K` ones is never stored (no witness has fewer than
+//! `K` times, under either semantics, and ANDing more members only removes
+//! ones), and neither is a level-`(M − 1)` prefix with fewer than `K` ones.
 
-use crate::bitstring::BitString;
-use crate::engine::{EngineConfig, PatternEngine, WindowState, WindowTask};
-use crate::runs::Semantics;
+use crate::bitstring::runs_of_words;
+use crate::engine::{EngineConfig, PatternEngine, WindowState, WindowView};
+use crate::runs::{runs_valid, runs_witness, Run, Semantics};
 use icpe_types::{CheckpointError, Constraints, EngineCheckpoint, ObjectId, Pattern, TimeSequence};
 
 /// The FBA pattern-enumeration engine.
@@ -17,6 +37,7 @@ use icpe_types::{CheckpointError, Constraints, EngineCheckpoint, ObjectId, Patte
 pub struct FbaEngine {
     config: EngineConfig,
     windows: WindowState,
+    kernel: Kernel,
 }
 
 impl FbaEngine {
@@ -24,56 +45,9 @@ impl FbaEngine {
     pub fn new(config: EngineConfig) -> Self {
         FbaEngine {
             windows: WindowState::new(&config.constraints),
+            kernel: Kernel::default(),
             config,
         }
-    }
-
-    fn process(&mut self, task: WindowTask) -> Vec<Pattern> {
-        let c = &self.config.constraints;
-        let members = task.window[0].clone();
-        if members.len() < c.m() - 1 {
-            return Vec::new();
-        }
-        let masks = task.member_masks();
-        let window_len = task.window.len();
-
-        // Definition 13: B[oi][j] = 1 iff owner and oi share a cluster at
-        // offset j. (Transpose of the per-time masks.)
-        let mut strings: Vec<BitString> = Vec::with_capacity(members.len());
-        for i in 0..members.len() {
-            let mut b = BitString::zeros(window_len);
-            for (j, &mask) in masks.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    b.set(j);
-                }
-            }
-            strings.push(b);
-        }
-
-        // Candidate filtering: B[oi] must itself satisfy (K, L, G).
-        let candidates: Vec<usize> = (0..members.len())
-            .filter(|&i| strings[i].satisfies_klg(c.k(), c.l(), c.g(), self.validity_semantics()))
-            .collect();
-        if candidates.len() < c.m() - 1 {
-            return Vec::new();
-        }
-
-        enumerate_candidates(
-            &candidates,
-            &strings,
-            &members,
-            task.owner,
-            task.start,
-            c,
-            self.validity_semantics(),
-        )
-    }
-
-    /// FBA filters and combines bit strings with the configured semantics.
-    /// (Under [`Semantics::PaperGreedy`] the candidate filter is the paper's
-    /// literal rule and is knowingly lossy; see the crate docs.)
-    fn validity_semantics(&self) -> Semantics {
-        self.config.semantics
     }
 
     /// Rebuilds an FBA engine from a checkpoint, loading only owners for
@@ -96,87 +70,219 @@ impl FbaEngine {
                 &ckpt.window_owners,
                 keep,
             ),
+            kernel: Kernel::default(),
             config,
         })
     }
 }
 
-/// Candidate-based enumeration shared conceptually with VBA: grow object
-/// sets from cardinality `M − 1`, extending only with larger candidate
-/// indices (each set is generated once), pruning sets whose combined bit
-/// string is invalid. Under subsequence semantics validity is anti-monotone
-/// in the number of objects, so pruning is lossless.
-#[allow(clippy::too_many_arguments)]
-fn enumerate_candidates(
-    candidates: &[usize],
-    strings: &[BitString],
-    members: &[ObjectId],
-    owner: ObjectId,
-    start: u32,
-    c: &Constraints,
-    semantics: Semantics,
-) -> Vec<Pattern> {
-    let need = c.m() - 1;
-    let mut out = Vec::new();
-
-    // Level M−1: canonical combinations of candidate indices.
-    let mut level: Vec<(Vec<usize>, BitString)> = Vec::new();
-    let mut combo: Vec<usize> = Vec::new();
-    build_combinations(candidates, need, 0, &mut combo, &mut |chosen| {
-        let mut bits = strings[chosen[0]].clone();
-        for &i in &chosen[1..] {
-            bits.and_assign(&strings[i]);
-        }
-        level.push((chosen.to_vec(), bits));
-    });
-
-    while !level.is_empty() {
-        let mut next: Vec<(Vec<usize>, BitString)> = Vec::new();
-        for (set, bits) in level {
-            let Some(witness) = bits.witness(c.k(), c.l(), c.g(), semantics) else {
-                continue;
-            };
-            let mut objects: Vec<ObjectId> = set.iter().map(|&i| members[i]).collect();
-            objects.push(owner);
-            let times = TimeSequence::from_raw(witness.into_iter().map(|j| start + j))
-                .expect("witness offsets are strictly increasing");
-            out.push(Pattern::new(objects, times));
-
-            // Extend with every candidate beyond the set's largest index.
-            let max_idx = *set.last().unwrap();
-            for &cand in candidates.iter().filter(|&&i| i > max_idx) {
-                let mut ext_bits = bits.clone();
-                ext_bits.and_assign(&strings[cand]);
-                let mut ext_set = set.clone();
-                ext_set.push(cand);
-                next.push((ext_set, ext_bits));
-            }
-        }
-        level = next;
-    }
-    out
+/// The per-window scratch of FBA, reused across windows. Under
+/// [`Semantics::PaperGreedy`] the candidate filter is the paper's literal
+/// rule and is knowingly lossy; see the crate docs.
+#[derive(Debug, Default)]
+struct Kernel {
+    /// Member rows, `stride` words each: row `i` is `B[oᵢ]` (Definition 13)
+    /// for the `i`-th member of the window's first partition.
+    rows: Vec<u64>,
+    /// Member indices whose own row is valid (the candidate set `C`),
+    /// ascending. Sets below name candidates by position in this list.
+    cands: Vec<u32>,
+    /// Run scratch for every validity check.
+    runs: Vec<Run>,
+    /// Level `M − 1` generation: the current combination (candidate
+    /// positions) and the AND of each of its prefixes, `stride` words per
+    /// depth.
+    combo: Vec<u32>,
+    prefix: Vec<u64>,
+    /// The level being visited and the level being built: each set is its
+    /// candidate positions (the level's set size apiece) and its AND-ed
+    /// words (`stride` apiece), in visiting order.
+    level_sets: Vec<u32>,
+    level_bits: Vec<u64>,
+    next_sets: Vec<u32>,
+    next_bits: Vec<u64>,
 }
 
-/// Calls `f` for every size-`k` combination of `pool` (ascending order).
-fn build_combinations(
-    pool: &[usize],
-    k: usize,
-    from: usize,
-    combo: &mut Vec<usize>,
-    f: &mut impl FnMut(&[usize]),
-) {
-    if combo.len() == k {
-        f(combo);
-        return;
+/// What a visit needs to know about the window besides the set itself.
+struct Window<'a> {
+    rows: &'a [u64],
+    stride: usize,
+    cands: &'a [u32],
+    members: &'a [ObjectId],
+    owner: ObjectId,
+    start: u32,
+    constraints: &'a Constraints,
+    semantics: Semantics,
+}
+
+impl Window<'_> {
+    /// The row of the candidate at `position` in the candidate list.
+    #[inline]
+    fn row(&self, position: u32) -> &[u64] {
+        let i = self.cands[position as usize] as usize * self.stride;
+        &self.rows[i..i + self.stride]
     }
-    let remaining = k - combo.len();
-    for i in from..pool.len() {
-        if pool.len() - i < remaining {
-            break;
+
+    /// Reports `set` if its AND `bits` has a witness, and then queues every
+    /// extension by a later candidate whose AND keeps at least `K` ones.
+    fn visit(
+        &self,
+        set: &[u32],
+        bits: &[u64],
+        runs: &mut Vec<Run>,
+        next_sets: &mut Vec<u32>,
+        next_bits: &mut Vec<u64>,
+        out: &mut Vec<Pattern>,
+    ) {
+        let c = self.constraints;
+        runs_of_words(bits, runs);
+        let Some(witness) = runs_witness(runs, c.k(), c.l(), c.g(), self.semantics) else {
+            return;
+        };
+        let objects: Vec<ObjectId> = set
+            .iter()
+            .map(|&p| self.members[self.cands[p as usize] as usize])
+            .chain(std::iter::once(self.owner))
+            .collect();
+        let times = TimeSequence::from_raw(witness.into_iter().map(|j| self.start + j))
+            .expect("witness offsets are strictly increasing");
+        out.push(Pattern::new(objects, times));
+
+        let last = *set.last().expect("sets are never empty");
+        for q in last + 1..self.cands.len() as u32 {
+            let at = next_bits.len();
+            next_bits.extend(bits.iter().zip(self.row(q)).map(|(a, b)| a & b));
+            if ones(&next_bits[at..]) < c.k() {
+                next_bits.truncate(at);
+                continue;
+            }
+            next_sets.extend_from_slice(set);
+            next_sets.push(q);
         }
-        combo.push(pool[i]);
-        build_combinations(pool, k, i + 1, combo, f);
-        combo.pop();
+    }
+}
+
+/// Number of 1-bits in `words`.
+#[inline]
+fn ones(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+impl Kernel {
+    /// Enumerates one window's patterns into `out`.
+    fn enumerate(&mut self, config: &EngineConfig, view: WindowView<'_>, out: &mut Vec<Pattern>) {
+        let c = &config.constraints;
+        let need = c.m() - 1;
+        let members = view.members();
+        if members.len() < need {
+            return;
+        }
+        let stride = (view.len as usize).div_ceil(64);
+
+        // Definition 13: B[oᵢ][j] = 1 iff owner and oᵢ share a cluster at
+        // offset j (the transpose of the window's rows).
+        self.rows.clear();
+        self.rows.resize(members.len() * stride, 0);
+        for (j, row) in view.rows() {
+            let (word, bit) = (j / 64, 1u64 << (j % 64));
+            let rows = &mut self.rows;
+            view.for_each_member_in(row, |i| rows[i * stride + word] |= bit);
+        }
+
+        // Candidate filtering: B[oᵢ] must itself satisfy (K, L, G).
+        self.cands.clear();
+        for (i, row) in self.rows.chunks_exact(stride).enumerate() {
+            if ones(row) < c.k() {
+                continue;
+            }
+            runs_of_words(row, &mut self.runs);
+            if runs_valid(&self.runs, c.k(), c.l(), c.g(), config.semantics) {
+                self.cands.push(i as u32);
+            }
+        }
+        if self.cands.len() < need {
+            return;
+        }
+
+        let Kernel {
+            rows,
+            cands,
+            runs,
+            combo,
+            prefix,
+            level_sets,
+            level_bits,
+            next_sets,
+            next_bits,
+        } = self;
+        let window = Window {
+            rows,
+            stride,
+            cands,
+            members,
+            owner: view.owner,
+            start: view.start,
+            constraints: c,
+            semantics: config.semantics,
+        };
+        next_sets.clear();
+        next_bits.clear();
+
+        // Level M − 1: every combination of `need` candidates in
+        // lexicographic order, ANDed prefix by prefix.
+        combo.clear();
+        prefix.clear();
+        prefix.resize(need * stride, 0);
+        let n = cands.len() as u32;
+        let mut p = 0u32;
+        loop {
+            let depth = combo.len();
+            if (p + (need - depth) as u32) > n {
+                // Too few candidates left for this depth: backtrack.
+                let Some(last) = combo.pop() else {
+                    break;
+                };
+                p = last + 1;
+                continue;
+            }
+            let (done, rest) = prefix.split_at_mut(depth * stride);
+            let acc = &mut rest[..stride];
+            let row = window.row(p);
+            if depth == 0 {
+                acc.copy_from_slice(row);
+            } else {
+                let parent = &done[(depth - 1) * stride..];
+                for ((a, x), y) in acc.iter_mut().zip(parent).zip(row) {
+                    *a = x & y;
+                }
+            }
+            if ones(acc) < c.k() {
+                p += 1;
+                continue;
+            }
+            combo.push(p);
+            if combo.len() == need {
+                window.visit(combo, acc, runs, next_sets, next_bits, out);
+                combo.pop();
+            }
+            p += 1;
+        }
+
+        // Levels M, M + 1, …: visit the queued extensions level by level.
+        let mut size = need + 1;
+        while !next_sets.is_empty() {
+            std::mem::swap(level_sets, next_sets);
+            std::mem::swap(level_bits, next_bits);
+            next_sets.clear();
+            next_bits.clear();
+            for (set, bits) in level_sets
+                .chunks_exact(size)
+                .zip(level_bits.chunks_exact(stride))
+            {
+                window.visit(set, bits, runs, next_sets, next_bits, out);
+            }
+            size += 1;
+        }
     }
 }
 
@@ -194,13 +300,27 @@ impl PatternEngine for FbaEngine {
         time: icpe_types::Timestamp,
         partitions: Vec<crate::partition::Partition>,
     ) -> Vec<Pattern> {
-        let tasks = self.windows.push_partitions(time, partitions);
-        tasks.into_iter().flat_map(|t| self.process(t)).collect()
+        let FbaEngine {
+            config,
+            windows,
+            kernel,
+        } = self;
+        let mut out = Vec::new();
+        windows.push_partitions(time, partitions, |view| {
+            kernel.enumerate(config, view, &mut out)
+        });
+        out
     }
 
     fn finish(&mut self) -> Vec<Pattern> {
-        let tasks = self.windows.finish();
-        tasks.into_iter().flat_map(|t| self.process(t)).collect()
+        let FbaEngine {
+            config,
+            windows,
+            kernel,
+        } = self;
+        let mut out = Vec::new();
+        windows.finish(|view| kernel.enumerate(config, view, &mut out));
+        out
     }
 
     fn checkpoint(&self) -> EngineCheckpoint {
@@ -219,6 +339,7 @@ impl PatternEngine for FbaEngine {
 mod tests {
     use super::*;
     use crate::engine::unique_object_sets;
+    use crate::partition::Partition;
     use icpe_types::{ClusterSnapshot, Timestamp};
 
     fn oid(v: u32) -> ObjectId {
@@ -241,30 +362,6 @@ mod tests {
         }
         out.extend(engine.finish());
         out
-    }
-
-    #[test]
-    fn combinations_generator_is_exhaustive_and_canonical() {
-        let pool = [2usize, 5, 7, 9];
-        let mut seen = Vec::new();
-        build_combinations(&pool, 2, 0, &mut Vec::new(), &mut |c| {
-            seen.push(c.to_vec());
-        });
-        assert_eq!(
-            seen,
-            vec![
-                vec![2, 5],
-                vec![2, 7],
-                vec![2, 9],
-                vec![5, 7],
-                vec![5, 9],
-                vec![7, 9]
-            ]
-        );
-        // k = 0 yields exactly the empty combination (M = 2 base case).
-        let mut count = 0;
-        build_combinations(&pool, 0, 0, &mut Vec::new(), &mut |_| count += 1);
-        assert_eq!(count, 1);
     }
 
     #[test]
@@ -350,5 +447,95 @@ mod tests {
             );
         }
         assert_eq!(sets.len(), 2);
+    }
+
+    /// The object sets of the start-0 window of owner 1 with members
+    /// `{2, 5, 7, 9}` co-clustered at every offset, in report order.
+    fn report_order(m: usize) -> Vec<Vec<u32>> {
+        let c = Constraints::new(m, 2, 1, 1).unwrap();
+        let mut engine = FbaEngine::new(EngineConfig::new(c));
+        let part = || Partition {
+            owner: oid(1),
+            members: [2, 5, 7, 9].map(ObjectId).to_vec(),
+        };
+        let eta = c.eta() as u32;
+        let mut out = Vec::new();
+        for t in 0..eta {
+            out = engine.push_partitions(Timestamp(t), vec![part()]);
+        }
+        out.iter()
+            .map(|p| p.objects.iter().map(|o| o.0).filter(|&o| o != 1).collect())
+            .collect()
+    }
+
+    #[test]
+    fn combinations_generator_is_exhaustive_and_canonical() {
+        // Breadth first, lexicographic within a level, each set once.
+        let want: Vec<Vec<u32>> = vec![
+            vec![2, 5],
+            vec![2, 7],
+            vec![2, 9],
+            vec![5, 7],
+            vec![5, 9],
+            vec![7, 9],
+            vec![2, 5, 7],
+            vec![2, 5, 9],
+            vec![2, 7, 9],
+            vec![5, 7, 9],
+            vec![2, 5, 7, 9],
+        ];
+        assert_eq!(report_order(3), want);
+        // M = 2: the first level is the singletons.
+        let got = report_order(2);
+        assert_eq!(got.len(), 15);
+        assert_eq!(got[..4], [vec![2], vec![5], vec![7], vec![9]]);
+        assert_eq!(got[4..], want[..]);
+    }
+
+    #[test]
+    fn partitions_wider_than_a_word_report_no_phantoms() {
+        // Owner 1's partition at t = 0 has 69 members; from t = 1 on only
+        // 66, 67 and 68 (member indices 64–66) stay with it. A bit-per-
+        // member mask wrapped those indices onto members 2–4.
+        let c = Constraints::new(4, 8, 4, 2).unwrap();
+        let mut stream = vec![cs(0, &[&(1..=70).collect::<Vec<u32>>()])];
+        stream.extend((1..=13).map(|t| cs(t, &[&[1, 66, 67, 68]])));
+        let mut fba = FbaEngine::new(EngineConfig::new(c));
+        let sets = unique_object_sets(&run_stream(&mut fba, &stream));
+        let mut vba = crate::VbaEngine::new(EngineConfig::new(c));
+        let mut vba_patterns = Vec::new();
+        for s in &stream {
+            vba_patterns.extend(vba.push(s));
+        }
+        vba_patterns.extend(vba.finish());
+        assert_eq!(sets, vec![vec![oid(1), oid(66), oid(67), oid(68)]]);
+        assert_eq!(sets, unique_object_sets(&vba_patterns));
+    }
+
+    #[test]
+    fn windows_longer_than_a_word_span_several_words() {
+        // η = 75 + 2 − 1 = 76 with K = 75, L = 2, G = 1: every row is two
+        // words, and the only witness crosses the word boundary.
+        let c = Constraints::new(3, 75, 2, 1).unwrap();
+        assert!(c.eta() > 64);
+        let mut engine = FbaEngine::new(EngineConfig::new(c));
+        let stream: Vec<ClusterSnapshot> = (0..80)
+            .map(|t| {
+                if (3..78).contains(&t) {
+                    cs(t, &[&[1, 2, 3]])
+                } else {
+                    cs(t, &[])
+                }
+            })
+            .collect();
+        let patterns = run_stream(&mut engine, &stream);
+        assert_eq!(
+            unique_object_sets(&patterns),
+            vec![vec![oid(1), oid(2), oid(3)]]
+        );
+        for p in &patterns {
+            assert!(p.satisfies(&c), "{p}");
+            assert_eq!(p.times.times().first(), Some(&Timestamp(3)));
+        }
     }
 }

@@ -44,7 +44,7 @@ pub mod reference;
 pub mod runs;
 pub mod vba;
 
-pub use baseline::BaselineEngine;
+pub use baseline::{BaselineEngine, MAX_BASELINE_PARTITION};
 pub use bitstring::BitString;
 pub use engine::{unique_object_sets, EngineConfig, PatternEngine};
 pub use fba::FbaEngine;

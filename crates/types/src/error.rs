@@ -18,6 +18,8 @@ pub enum TypeError {
     InvalidDbscanParams(String),
     /// A discretizer was configured with a non-positive interval.
     InvalidInterval(f64),
+    /// A pattern-engine setting was out of range.
+    InvalidEngineConfig(String),
 }
 
 impl fmt::Display for TypeError {
@@ -33,6 +35,9 @@ impl fmt::Display for TypeError {
             TypeError::InvalidDbscanParams(msg) => write!(f, "invalid DBSCAN parameters: {msg}"),
             TypeError::InvalidInterval(v) => {
                 write!(f, "discretization interval must be positive, got {v}")
+            }
+            TypeError::InvalidEngineConfig(msg) => {
+                write!(f, "invalid pattern-engine configuration: {msg}")
             }
         }
     }

@@ -22,7 +22,8 @@ impl TimeSequence {
     /// Builds a sequence from raw interval indices, validating strict
     /// monotonicity.
     pub fn from_raw(times: impl IntoIterator<Item = u32>) -> Result<Self, TypeError> {
-        let mut seq = TimeSequence::new();
+        let times = times.into_iter();
+        let mut seq = TimeSequence(Vec::with_capacity(times.size_hint().0));
         for t in times {
             seq.push(Timestamp(t))?;
         }
